@@ -27,8 +27,6 @@ from .probes import (
     OutcomeDistribution,
     Probe,
     build_model,
-    coherent_distribution,
-    outcome_distribution,
 )
 from .fisher import (
     FisherInverse,
@@ -62,11 +60,8 @@ from .adaptive import (
     ProtocolConfig,
     ProtocolTrace,
     log_likelihood,
-    ml_estimate,
     monte_carlo,
     quotient_errors,
-    run_adaptive_four_mode,
-    run_adaptive_three_mode,
     run_protocol,
     sample_outcomes,
 )
@@ -90,8 +85,6 @@ __all__ = [
     "OutcomeDistribution",
     "Probe",
     "build_model",
-    "coherent_distribution",
-    "outcome_distribution",
     "FisherInverse",
     "FisherMatrix",
     "SeparableBoundSpec",
@@ -119,11 +112,8 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolTrace",
     "log_likelihood",
-    "ml_estimate",
     "monte_carlo",
     "quotient_errors",
-    "run_adaptive_four_mode",
-    "run_adaptive_three_mode",
     "run_protocol",
     "sample_outcomes",
 ]

@@ -32,6 +32,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fisher import fisher_matrix, invert_fisher, SingularSupportError
+from .landscape import _local_maxima, _mesh
 from .optics import Interferometer, TWO_PI, four_mode_mzi, three_mode_mzi
 from .probes import OutcomeDistribution, Probe, build_model
 
@@ -148,25 +149,6 @@ def _data_loglik_batch(counts: CountRecord, model, points: np.ndarray) -> np.nda
     return np.log(p) @ counts.counts[observed]
 
 
-@dataclass(frozen=True)
-class MLEstimate:
-    estimate: np.ndarray
-    sigma: np.ndarray
-    log_likelihood: float
-    fim_singular: bool
-
-
-def _sigma_from_fim(counts: CountRecord, model, estimate):
-    try:
-        fim = fisher_matrix(model.distribution(np.mod(estimate, TWO_PI)))
-    except SingularSupportError:
-        return None
-    inv = invert_fisher(fim)
-    if inv.singular:
-        return None
-    return np.sqrt(np.diag(inv.inverse) / counts.total)
-
-
 def _joint_sigma(batches, estimate):
     """Width from the summed information of several (counts, model) batches."""
     x = np.mod(np.asarray(estimate, dtype=float), TWO_PI)
@@ -218,53 +200,12 @@ def _refine(counts, prior, model, x0, refine_tol):
     return result.x, -result.fun
 
 
-def ml_estimate(counts: CountRecord, model, prior: GaussianPrior | None = None,
-                grid_step: float = 0.02, refine_tol: float = 1e-5,
-                window_sigmas: float = 5.0) -> MLEstimate:
-    """Maximize the (prior-regularized) log likelihood.
-
-    With a prior, the search grid covers mean +/- window_sigmas * sigma at a
-    step no coarser than half the smallest prior width; without one it
-    covers the full torus.  The grid maximum is polished by simplex ascent.
-    Sigma comes from the inverse FIM at the estimate scaled by the sample
-    count, falling back to likelihood curvature when the FIM is singular.
-    """
-    n_params = model.n_params
-    if prior is None:
-        steps = max(int(np.ceil(TWO_PI / max(grid_step, 1e-3))), 8)
-        axis = np.arange(steps) * TWO_PI / steps
-        grids = np.meshgrid(*([axis] * n_params), indexing="ij")
-        points = np.column_stack([g.ravel() for g in grids])
-    else:
-        step = min(grid_step, float(np.min(prior.sigma)) / 2.0)
-        half = window_sigmas * np.asarray(prior.sigma, dtype=float)
-        offsets = [np.arange(-h, h + step / 2, step) for h in half]
-        mesh = np.meshgrid(*offsets, indexing="ij")
-        points = np.column_stack([g.ravel() for g in mesh]) + prior.mean
-
-    data = _data_loglik_batch(counts, model, points)
-    if prior is not None:
-        delta = wrap_angle(points - prior.mean)
-        data = data + np.sum(
-            -0.5 * (delta / prior.sigma) ** 2
-            - np.log(np.sqrt(TWO_PI) * prior.sigma),
-            axis=1,
-        )
-    x0 = points[int(np.argmax(data))]
-    x, value = _refine(counts, prior, model, x0, refine_tol)
-    best = (x, value)
-
-    estimate = np.mod(best[0], TWO_PI)
-    sigma = _sigma_from_fim(counts, model, estimate)
-    fim_singular = sigma is None
-    if fim_singular:
-        sigma = _sigma_from_curvature(counts, prior, model, estimate)
-    return MLEstimate(
-        estimate=estimate,
-        sigma=sigma,
-        log_likelihood=best[1],
-        fim_singular=fim_singular,
-    )
+def _window(mean, sigma, step):
+    """Grid over mean +/- 5 sigma at spacing ``step`` (scalar or one per
+    axis): its points and its shape."""
+    steps = np.broadcast_to(step, np.shape(sigma))
+    axes = [np.arange(-5.0 * s, 5.0 * s + d / 2, d) for s, d in zip(sigma, steps)]
+    return _mesh(axes) + mean, [len(a) for a in axes]
 
 
 def _likelihood_peaks(batches, grid_step: float,
@@ -285,18 +226,9 @@ def _likelihood_peaks(batches, grid_step: float,
     n_params = batches[0][1].n_params
     steps = max(int(np.ceil(TWO_PI / grid_step)), 16)
     axis = np.arange(steps) * TWO_PI / steps
-    grids = np.meshgrid(*([axis] * n_params), indexing="ij")
-    points = np.column_stack([g.ravel() for g in grids])
+    points = _mesh([axis] * n_params)
     data = _joint_loglik_batch(batches, points).reshape([steps] * n_params)
-    is_max = np.ones_like(data, dtype=bool)
-    for shifts in np.ndindex(*([3] * n_params)):
-        if all(s == 1 for s in shifts):
-            continue
-        rolled = data
-        for ax, s in enumerate(shifts):
-            rolled = np.roll(rolled, s - 1, axis=ax)
-        is_max &= data >= rolled
-    flat_idx = np.flatnonzero(is_max.ravel())
+    flat_idx = np.flatnonzero(_local_maxima(data))
     order = flat_idx[np.argsort(data.ravel()[flat_idx])[::-1]]
     coarse = []
     for idx in order:
@@ -307,10 +239,7 @@ def _likelihood_peaks(batches, grid_step: float,
         if len(coarse) >= keep:
             break
     # one batched sub-grid pass sharpens every peak position
-    fine_step = grid_step / 5.0
-    offsets = np.arange(-2, 3) * fine_step
-    mesh = np.meshgrid(*([offsets] * n_params), indexing="ij")
-    local = np.column_stack([g.ravel() for g in mesh])
+    local = _mesh([np.arange(-2, 3) * (grid_step / 5.0)] * n_params)
     sub_points = (np.asarray(coarse)[:, None, :] + local[None, :, :]).reshape(-1, n_params)
     sub_values = _joint_loglik_batch(batches, sub_points).reshape(len(coarse), -1)
     peaks = []
@@ -535,10 +464,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         window_peaks = []
         for hyp in hypotheses:
             step = min(config.grid_step, float(np.min(hyp.sigma)) / 2.0)
-            half = 5.0 * hyp.sigma
-            axes = [np.arange(-h, h + step / 2, step) for h in half]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.column_stack([g.ravel() for g in mesh]) + hyp.mean
+            pts, _shape = _window(hyp.mean, hyp.sigma, step)
             values = _data_loglik_batch(counts, model, pts)
             j = int(np.argmax(values))
             window_peaks.append((float(values[j]), pts[j]))
@@ -602,7 +528,8 @@ def _joint_refit(collected, hypotheses, anchors, refine_tol):
     step can leave the fit on the wrong side.  The joint likelihood of all
     steps breaks those ties.  The best few seeds get a simplex polish and
     the final width comes from the summed per-step information
-    sum_s nu_s F_s at the winner.
+    sum_s nu_s F_s at the winner, through ``invert_fisher`` (NaN when that
+    sum is singular).
     """
     n = len(hypotheses[0].mean)
     centers = []
@@ -612,26 +539,11 @@ def _joint_refit(collected, hypotheses, anchors, refine_tol):
             centers.append((2.0 * anchor - hyp.mean, hyp.sigma))
     seeds = []
     for mean, sigma in centers:
-        half = 5.0 * sigma
-        step = np.maximum(sigma / 2.0, 1e-6)
-        axes = [np.arange(-h, h + s / 2, s) for h, s in zip(half, step)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.column_stack([g.ravel() for g in mesh]) + mean
+        points, shape = _window(mean, sigma, np.maximum(sigma / 2.0, 1e-6))
         values = _joint_loglik_batch(collected, points)
-        shape = [len(a) for a in axes]
-        grid = values.reshape(shape)
-        is_max = np.ones(shape, dtype=bool)
-        for shifts in np.ndindex(*([3] * n)):
-            if all(s == 1 for s in shifts):
-                continue
-            rolled = grid
-            for ax, s in enumerate(shifts):
-                rolled = np.roll(rolled, s - 1, axis=ax)
-            is_max &= grid >= rolled
-        flat = np.flatnonzero(is_max.ravel())
+        flat = np.flatnonzero(_local_maxima(values.reshape(shape)))
         top = flat[np.argsort(values[flat])[::-1][:3]]
-        for idx in top:
-            seeds.append((points[idx], values[idx]))
+        seeds.extend((points[idx], values[idx]) for idx in top)
     seeds.sort(key=lambda t: -t[1])
     best_x, best_value = None, -np.inf
     for x0, value in seeds[:8]:
@@ -646,35 +558,8 @@ def _joint_refit(collected, hypotheses, anchors, refine_tol):
         if -result.fun > best_value:
             best_value, best_x = -result.fun, result.x
     estimate = np.mod(best_x, TWO_PI)
-    info = np.zeros((n, n))
-    for counts, model in collected:
-        try:
-            info += counts.total * fisher_matrix(model.distribution(estimate)).matrix
-        except SingularSupportError:
-            continue
-    try:
-        cov = np.linalg.inv(info)
-        sigma = np.sqrt(np.clip(np.diag(cov), 1e-18, None))
-    except np.linalg.LinAlgError:
-        sigma = np.full(n, np.nan)
-    return estimate, sigma
-
-
-def run_adaptive_three_mode(true_phases, nu: int = 10000,
-                            fractions=(0.1, 0.45, 0.45), seed=None,
-                            **kwargs) -> ProtocolTrace:
-    """Three-step protocol: rough estimate, then both mirror working points."""
-    config = ProtocolConfig(modes=3, true_phases=tuple(true_phases), nu=nu,
-                            fractions=tuple(fractions), **kwargs)
-    return run_protocol(config, seed)
-
-
-def run_adaptive_four_mode(true_phases, phi0: float = 0.01, nu: int = 10000,
-                           fractions=(0.1, 0.9), seed=None, **kwargs) -> ProtocolTrace:
-    """Two-step protocol: rough estimate, then the working region near [pi, pi]."""
-    config = ProtocolConfig(modes=4, true_phases=tuple(true_phases), nu=nu,
-                            fractions=tuple(fractions), phi0=phi0, **kwargs)
-    return run_protocol(config, seed)
+    sigma = _joint_sigma(collected, estimate)
+    return estimate, (np.full(n, np.nan) if sigma is None else sigma)
 
 
 def derive_seeds(master_seed, repetitions: int) -> list[int]:

@@ -9,7 +9,9 @@ keys.  Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,6 +55,61 @@ DEFAULT_CONFIG = {
 }
 
 
+def _number(v) -> bool:
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _positive(v) -> bool:
+    return _number(v) and v > 0
+
+
+def _whole(low):
+    return lambda v: _number(v) and v == int(v) and v >= low
+
+
+def _or_null(check):
+    return lambda v: v is None or check(v)
+
+
+def _numbers(count=None):
+    return lambda v: (isinstance(v, list) and all(map(_number, v))
+                      and count in (None, len(v)))
+
+
+# Valid values of every config key: (check, what the error message asks for).
+CONFIG_CHECKS = {
+    "circuit": {
+        "modes": (lambda v: type(v) is int and v in (3, 4), "3 or 4"),
+        "probe": (lambda v: v in ("fock", "distinguishable", "coherent"),
+                  "fock, distinguishable or coherent"),
+        "alpha": (_or_null(_positive), "a positive number or null"),
+        "phi0": (_or_null(_number), "a number or null"),
+    },
+    "scan": {
+        "resolution": (_whole(64), "an integer >= 64"),
+        "out": (_or_null(lambda v: isinstance(v, str)), "a path or null"),
+        "format": (lambda v: v in ("csv", "json"), "csv or json"),
+    },
+    "adaptive": {
+        "true_phases": (_numbers(2), "a list of two numbers"),
+        "nu": (_whole(1), "an integer >= 1"),
+        "fractions": (_or_null(_numbers()), "a list of numbers or null"),
+        "repetitions": (_whole(2), "an integer >= 2 (statistics need two runs)"),
+        "seed": (_or_null(lambda v: type(v) is int and v >= 0),
+                 "a non-negative integer or null"),
+        "out": (lambda v: isinstance(v, str), "a path"),
+        "bound_coeff": (_or_null(_positive), "a positive number or null"),
+    },
+    "workpoints": {
+        "resolution": (_whole(64), "an integer >= 64"),
+        "refine_tol": (_positive, "a positive number"),
+    },
+    "tolerances": {
+        "refine_tol": (_positive, "a positive number"),
+    },
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -62,7 +119,9 @@ def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
     for key, value in overrides.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}{key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {path}{key!r} must be an object")
             merged[key] = _merge_section(defaults[key], value, f"{path}{key}.")
         else:
             merged[key] = value
@@ -71,7 +130,7 @@ def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
 
 def load_config(path: str | None) -> dict:
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return copy.deepcopy(DEFAULT_CONFIG)
     try:
         with open(path) as handle:
             user = json.load(handle)
@@ -79,7 +138,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge_section(DEFAULT_CONFIG, user, "")
+    return _merge_section(copy.deepcopy(DEFAULT_CONFIG), user, "")
 
 
 def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
@@ -100,30 +159,28 @@ def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
     return config
 
 
+def _check_config(config: dict) -> None:
+    """Raise ConfigError for a value of the wrong type or range, so a bad
+    config fails before any work starts."""
+    for section, checks in CONFIG_CHECKS.items():
+        for key, (valid, expected) in checks.items():
+            value = config[section][key]
+            if not valid(value):
+                raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+    if config["circuit"]["modes"] == 4 and config["circuit"]["phi0"] is None:
+        raise ConfigError("four-mode circuit needs phi0")
+
+
 def _build_circuit(circuit_cfg: dict):
     modes = circuit_cfg["modes"]
-    if modes == 3:
-        interf = three_mode_mzi()
-    elif modes == 4:
-        phi0 = circuit_cfg["phi0"]
-        if phi0 is None:
-            raise ConfigError("four-mode circuit needs phi0")
-        interf = four_mode_mzi(float(phi0))
-    else:
-        raise ConfigError(f"modes must be 3 or 4, got {modes!r}")
+    interf = three_mode_mzi() if modes == 3 else four_mode_mzi(float(circuit_cfg["phi0"]))
     kind = circuit_cfg["probe"]
-    if kind == "fock":
-        probe = Probe.fock((1,) * modes)
-    elif kind == "distinguishable":
-        probe = Probe.distinguishable((1,) * modes)
-    elif kind == "coherent":
+    if kind == "coherent":
         alpha = circuit_cfg["alpha"]
         if alpha is None:
             alpha = np.sqrt(3.0) if modes == 3 else 2.0
-        probe = Probe.coherent(float(alpha), input_mode=0)
-    else:
-        raise ConfigError(f"unknown probe kind {kind!r}")
-    return interf, probe
+        return interf, Probe.coherent(float(alpha), input_mode=0)
+    return interf, Probe(kind, occupations=(1,) * modes)
 
 
 def cmd_scan(config: dict) -> int:
@@ -183,9 +240,6 @@ def cmd_adaptive(config: dict) -> int:
               file=sys.stderr)
         return 1
     reps = int(adaptive_cfg["repetitions"])
-    if reps < 2:
-        print("adaptive: statistics need repetitions >= 2", file=sys.stderr)
-        return 1
     modes = config["circuit"]["modes"]
     phi0 = float(config["circuit"]["phi0"] or 0.0)
     if modes == 4 and phi0 <= 0:
@@ -201,13 +255,16 @@ def cmd_adaptive(config: dict) -> int:
         kwargs["fractions"] = tuple(adaptive_cfg["fractions"])
     if adaptive_cfg["bound_coeff"]:
         kwargs["bound_coeff"] = float(adaptive_cfg["bound_coeff"])
-    protocol = ProtocolConfig(
-        modes=modes,
-        true_phases=tuple(adaptive_cfg["true_phases"]),
-        nu=int(adaptive_cfg["nu"]),
-        phi0=phi0,
-        **kwargs,
-    )
+    try:
+        protocol = ProtocolConfig(
+            modes=modes,
+            true_phases=tuple(adaptive_cfg["true_phases"]),
+            nu=int(adaptive_cfg["nu"]),
+            phi0=phi0,
+            **kwargs,
+        )
+    except ValueError as exc:  # fractions that do not fit the protocol
+        raise ConfigError(str(exc)) from exc
     stats = monte_carlo(protocol, reps, adaptive_cfg["seed"])
     record = run_record_dict(stats)
     record["config_cli"] = config
@@ -274,6 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _apply_flags(load_config(args.config), args)
+        _check_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

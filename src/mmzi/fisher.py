@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
-from .fock import enumerate_fock_basis, sector_unitary, single_mode_sector_state
-from .probes import OutcomeDistribution, Probe
+from .fock import basis_index, enumerate_fock_basis, sector_unitary, single_mode_sector_state
+from .probes import OutcomeDistribution, Probe, coherent_cutoff
 from .optics import Interferometer
 
 # Zero-probability outcomes are dropped from the classical sum only when
@@ -159,8 +160,6 @@ def qfim_for_probe(interf: Interferometer, probe: Probe,
     """
     modes = interf.unknown_modes
     if probe.kind == "fock":
-        from .fock import basis_index
-
         n = probe.total_photons
         basis = enumerate_fock_basis(interf.d, n)
         state = sector_unitary(interf.u_in, n)[:, basis_index(interf.d, n)[probe.occupations]]
@@ -175,13 +174,8 @@ def qfim_for_probe(interf: Interferometer, probe: Probe,
             total += count * qfim_pure(state, basis1, modes).matrix
         return FisherMatrix(total, kind="quantum")
     if probe.kind == "coherent":
-        from scipy import stats
-
         mean = probe.alpha**2
-        n_max = int(mean)
-        while stats.poisson.sf(n_max, mean) >= sector_tail:
-            n_max += 1
-        ns = np.arange(n_max + 1)
+        ns = np.arange(coherent_cutoff(mean, sector_tail) + 1)
         weights = stats.poisson.pmf(ns, mean)
         weights = weights / weights.sum()
         states = [single_mode_sector_state(interf.u_in, probe.input_mode, int(n)) for n in ns]

@@ -61,6 +61,37 @@ def _classify_2x2(f11, f22, f12, support_bad,
     return det, cond, singular
 
 
+def _inverse_metrics(model, points):
+    """Tr F^-1, [F^-1]_11, [F^-1]_22, det F and the singular flag at each
+    phase point (taken modulo 2pi); the inverse metrics are NaN where
+    singular."""
+    probs, grads = model.prob_batch(np.mod(points, TWO_PI))
+    f11, f22, f12, bad = _fim_components(probs, grads)
+    det, _cond, singular = _classify_2x2(f11, f22, f12, bad)
+    safe_det = np.where(singular, 1.0, det)
+    tr, i11, i22 = np.where(singular, np.nan, np.array([f11 + f22, f22, f11]) / safe_det)
+    return tr, i11, i22, det, singular
+
+
+def _mesh(axes) -> np.ndarray:
+    """Points [n, len(axes)] of the grid spanned by ``axes``, last axis fastest."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Mask of the cells not below any of their 3^ndim - 1 neighbours, with
+    every axis periodic."""
+    is_max = np.ones(values.shape, dtype=bool)
+    for shifts in np.ndindex(*([3] * values.ndim)):
+        if all(s == 1 for s in shifts):
+            continue
+        rolled = values
+        for ax, s in enumerate(shifts):
+            rolled = np.roll(rolled, s - 1, axis=ax)
+        is_max &= values >= rolled
+    return is_max
+
+
 @dataclass(eq=False)
 class LandscapeGrid:
     """Sensitivity metrics on a uniform [0, 2pi)^2 grid.
@@ -97,31 +128,20 @@ def scan_grid(interf: Interferometer, probe: Probe, resolution: int = 256,
         raise ValueError("resolution must be >= 64")
     model = build_model(interf, probe)
     axis = np.arange(resolution) * TWO_PI / resolution
-    p1, p2 = np.meshgrid(axis, axis, indexing="ij")
-    points = np.column_stack([p1.ravel(), p2.ravel()])
-    n = len(points)
-    f11 = np.empty(n)
-    f22 = np.empty(n)
-    f12 = np.empty(n)
-    bad = np.empty(n, dtype=bool)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        probs, grads = model.prob_batch(points[sl])
-        f11[sl], f22[sl], f12[sl], bad[sl] = _fim_components(probs, grads)
-    det, _cond, singular = _classify_2x2(f11, f22, f12, bad)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tr = np.where(~singular, (f11 + f22) / det, np.nan)
-        i11 = np.where(~singular, f22 / det, np.nan)
-        i22 = np.where(~singular, f11 / det, np.nan)
-    shape = (resolution, resolution)
+    points = _mesh([axis, axis])
+    chunks = [_inverse_metrics(model, points[start:start + chunk])
+              for start in range(0, len(points), chunk)]
+    tr, i11, i22, det, singular = (
+        np.concatenate(part).reshape(resolution, resolution) for part in zip(*chunks)
+    )
     return LandscapeGrid(
         phi1=axis,
         phi2=axis.copy(),
-        tr_finv=tr.reshape(shape),
-        finv11=i11.reshape(shape),
-        finv22=i22.reshape(shape),
-        det_f=det.reshape(shape),
-        singular=singular.reshape(shape),
+        tr_finv=tr,
+        finv11=i11,
+        finv22=i22,
+        det_f=det,
+        singular=singular,
         model=model,
     )
 
@@ -136,27 +156,21 @@ class WorkingPoint:
 
 def _trace_objective(model):
     def objective(x):
-        probs, grads = model.prob_batch(np.mod(x, TWO_PI)[None, :])
-        f11, f22, f12, bad = _fim_components(probs, grads)
-        det, _cond, singular = _classify_2x2(f11, f22, f12, bad)
-        if singular[0]:
-            return 1e12
-        return float((f11[0] + f22[0]) / det[0])
+        tr, _i11, _i22, _det, singular = _inverse_metrics(model, x[None, :])
+        return 1e12 if singular[0] else float(tr[0])
 
     return objective
 
 
 def _metrics_at(model, x) -> WorkingPoint | None:
-    probs, grads = model.prob_batch(np.mod(x, TWO_PI)[None, :])
-    f11, f22, f12, bad = _fim_components(probs, grads)
-    det, _cond, singular = _classify_2x2(f11, f22, f12, bad)
+    tr, i11, i22, _det, singular = _inverse_metrics(model, x[None, :])
     if singular[0]:
         return None
     return WorkingPoint(
         phases=(float(np.mod(x[0], TWO_PI)), float(np.mod(x[1], TWO_PI))),
-        tr_finv=float((f11[0] + f22[0]) / det[0]),
-        finv11=float(f22[0] / det[0]),
-        finv22=float(f11[0] / det[0]),
+        tr_finv=float(tr[0]),
+        finv11=float(i11[0]),
+        finv22=float(i22[0]),
     )
 
 
@@ -171,13 +185,7 @@ def _grid_local_minima(grid: LandscapeGrid) -> list[tuple[int, int]]:
     values = np.where(grid.singular, np.inf, grid.tr_finv)
     if not np.isfinite(values).any():
         raise ValueError("all grid cells are singular")
-    is_min = np.ones_like(values, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            is_min &= values <= np.roll(np.roll(values, di, axis=0), dj, axis=1)
-    is_min &= np.isfinite(values)
+    is_min = _local_maxima(-values) & np.isfinite(values)
     return [tuple(idx) for idx in np.argwhere(is_min)]
 
 
@@ -191,33 +199,26 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5,
     When the grid was loaded from a file and carries no model, the grid
     minima are returned without refinement.
     """
+    def cell(i, j) -> WorkingPoint:
+        return WorkingPoint((float(grid.phi1[i]), float(grid.phi2[j])),
+                            float(grid.tr_finv[i, j]), float(grid.finv11[i, j]),
+                            float(grid.finv22[i, j]))
+
     finite = grid.tr_finv[~grid.singular]
     if finite.size and float(np.nanmax(finite) - np.nanmin(finite)) < 1e-12:
         corner = (
             _metrics_at(grid.model, np.array([grid.phi1[0], grid.phi2[0]]))
             if grid.model is not None
-            else WorkingPoint(
-                (float(grid.phi1[0]), float(grid.phi2[0])),
-                float(grid.tr_finv[0, 0]),
-                float(grid.finv11[0, 0]),
-                float(grid.finv22[0, 0]),
-            )
+            else cell(0, 0)
         )
         return [corner] if corner is not None else []
     candidates = _grid_local_minima(grid)
     points: list[WorkingPoint] = []
     for i, j in candidates:
-        x0 = np.array([grid.phi1[i], grid.phi2[j]])
         if grid.model is None:
-            points.append(
-                WorkingPoint(
-                    (float(x0[0]), float(x0[1])),
-                    float(grid.tr_finv[i, j]),
-                    float(grid.finv11[i, j]),
-                    float(grid.finv22[i, j]),
-                )
-            )
+            points.append(cell(i, j))
             continue
+        x0 = np.array([grid.phi1[i], grid.phi2[j]])
         result = minimize(
             _trace_objective(grid.model),
             x0,
@@ -262,9 +263,7 @@ def stability_region(interf: Interferometer, probe: Probe, center, delta: float,
     points = np.column_stack(
         [center[0] + radius * np.cos(angle), center[1] + radius * np.sin(angle)]
     )
-    probs, grads = model.prob_batch(np.mod(points, TWO_PI))
-    f11, f22, f12, bad = _fim_components(probs, grads)
-    det, _cond, singular = _classify_2x2(f11, f22, f12, bad)
+    _tr, _i11, _i22, det, singular = _inverse_metrics(model, points)
     return StabilityReport(
         center=(float(center[0]), float(center[1])),
         delta=float(delta),
@@ -301,17 +300,8 @@ def export_grid(grid: LandscapeGrid, path, fmt: str = "csv") -> None:
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)
             for rec in _iter_records(grid):
-                writer.writerow(
-                    [
-                        _format_value(rec["phi1"]),
-                        _format_value(rec["phi2"]),
-                        _format_value(rec["tr_finv"]),
-                        _format_value(rec["finv11"]),
-                        _format_value(rec["finv22"]),
-                        _format_value(rec["detF"]),
-                        rec["singular"],
-                    ]
-                )
+                writer.writerow([_format_value(rec[key]) for key in CSV_COLUMNS[:-1]]
+                                + [rec["singular"]])
     elif fmt == "json":
         cells = []
         for rec in _iter_records(grid):

@@ -69,12 +69,6 @@ class PhaseConfig:
     def n_params(self) -> int:
         return len(self.unknown)
 
-    def unknown_modes(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.unknown)
-
-    def unknown_values(self) -> np.ndarray:
-        return np.array([v for _, v in self.unknown], dtype=float)
-
     def mode_totals(self, d: int) -> np.ndarray:
         """Summed phase per mode, length d."""
         theta = np.zeros(d)

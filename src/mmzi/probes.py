@@ -8,6 +8,11 @@ Each probe kind gets a model object bound to a fixed interferometer
 * ``prob_batch(points)``  -- the same quantities evaluated for many phase
   points at once, used by landscape scans and likelihood grids.
 
+The models share one private base, ``_ProbeModel``, which checks the probe,
+builds the per-mode phase vectors and packages ``distribution``.  A model
+subclass sets ``kind`` (the probe kind it accepts) and ``basis`` (its
+ordered outcome list) and defines ``prob_batch``.
+
 For a Fock probe the amplitude on outcome x factorizes over the n-photon
 intermediate basis m as
 
@@ -110,33 +115,25 @@ class OutcomeDistribution:
         return self
 
 
-def _theta_offsets(interf: Interferometer, psis) -> np.ndarray:
-    config = interf.config(np.zeros(interf.n_params), psis)
-    return config.mode_totals(interf.d)
+class _ProbeModel:
+    """Base of the probe models; the subclass contract is in the module
+    docstring.  ``prob_batch(points)`` maps [n_pts, n_params] to (probs
+    [n_pts, n_out], grads [n_pts, n_out, n_params])."""
 
-
-class FockProbeModel:
-    """Exact evolution of an indistinguishable-photon probe."""
+    kind = ""
+    mass_tol = PROB_SUM_TOL
 
     def __init__(self, interf: Interferometer, probe: Probe, psis=None):
-        if probe.kind != "fock":
-            raise ValueError("FockProbeModel requires a fock probe")
+        if probe.kind != self.kind:
+            raise ValueError(f"{type(self).__name__} requires a {self.kind} probe")
+        if probe.occupations is not None and len(probe.occupations) != interf.d:
+            raise ValueError("probe occupations do not match mode count")
         self.interf = interf
         self.probe = probe
         self.psis = None if psis is None else np.asarray(psis, dtype=float)
-        n = probe.total_photons
-        d = interf.d
-        if len(probe.occupations) != d:
-            raise ValueError("probe occupations do not match mode count")
-        self.basis = enumerate_fock_basis(d, n)
-        self.occ = np.array(self.basis, dtype=float)  # [n_states, d]
-        probe_idx = basis_index(d, n)[probe.occupations]
-        self.t_in = sector_unitary(interf.u_in, n)[:, probe_idx]  # <m|U_in|probe>
-        self.t_out = sector_unitary(interf.u_out, n)  # [x, m]
-        self.theta_offset = _theta_offsets(interf, self.psis)
+        config = interf.config(np.zeros(interf.n_params), self.psis)
+        self.theta_offset = config.mode_totals(interf.d)
         self.unknown_modes = np.array(interf.unknown_modes, dtype=int)
-        # occupation of the generating mode per intermediate state, one row per parameter
-        self.gen_occ = self.occ[:, self.unknown_modes].T  # [n_params, n_states]
 
     @property
     def n_params(self) -> int:
@@ -145,6 +142,43 @@ class FockProbeModel:
     @property
     def outcomes(self):
         return self.basis
+
+    def _theta(self, points) -> np.ndarray:
+        """Per-mode phases [n_pts, d] for unknown-phase points [n_pts, n_params]."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        theta = np.tile(self.theta_offset, (points.shape[0], 1))
+        for j, mode in enumerate(self.unknown_modes):
+            theta[:, mode] += points[:, j]
+        return theta
+
+    def distribution(self, phis) -> OutcomeDistribution:
+        phis = np.atleast_1d(np.asarray(phis, dtype=float))
+        probs, grads = self.prob_batch(phis[None, :])
+        return OutcomeDistribution(
+            outcomes=self.basis,
+            probs=probs[0],
+            grads=grads[0],
+            phases=self.interf.config(phis, self.psis),
+            mass_tol=self.mass_tol,
+        )
+
+
+class FockProbeModel(_ProbeModel):
+    """Exact evolution of an indistinguishable-photon probe."""
+
+    kind = "fock"
+
+    def __init__(self, interf: Interferometer, probe: Probe, psis=None):
+        super().__init__(interf, probe, psis)
+        n = probe.total_photons
+        d = interf.d
+        self.basis = enumerate_fock_basis(d, n)
+        self.occ = np.array(self.basis, dtype=float)  # [n_states, d]
+        probe_idx = basis_index(d, n)[probe.occupations]
+        self.t_in = sector_unitary(interf.u_in, n)[:, probe_idx]  # <m|U_in|probe>
+        self.t_out = sector_unitary(interf.u_out, n)  # [x, m]
+        # occupation of the generating mode per intermediate state, one row per parameter
+        self.gen_occ = self.occ[:, self.unknown_modes].T  # [n_params, n_states]
 
     def _amplitudes(self, theta_modes: np.ndarray):
         """Amplitudes and their phase-derivatives for a batch of theta vectors."""
@@ -158,52 +192,27 @@ class FockProbeModel:
         return amps, damps
 
     def prob_batch(self, points: np.ndarray):
-        """Probabilities and gradients at many phase points.
-
-        points: [n_pts, n_params] -> (probs [n_pts, n_out],
-        grads [n_pts, n_out, n_params]).
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        theta = np.tile(self.theta_offset, (points.shape[0], 1))
-        for j, mode in enumerate(self.unknown_modes):
-            theta[:, mode] += points[:, j]
-        amps, damps = self._amplitudes(theta)
+        amps, damps = self._amplitudes(self._theta(points))
         probs = (amps.real**2 + amps.imag**2).T
         grads = np.empty(probs.shape + (self.n_params,))
         for j in range(self.n_params):
             grads[:, :, j] = 2.0 * (amps.conj() * damps[j]).real.T
         return probs, grads
 
-    def distribution(self, phis) -> OutcomeDistribution:
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        probs, grads = self.prob_batch(phis[None, :])
-        return OutcomeDistribution(
-            outcomes=self.basis,
-            probs=probs[0],
-            grads=grads[0],
-            phases=self.interf.config(phis, self.psis),
-        )
 
-
-class DistinguishableProbeModel:
+class DistinguishableProbeModel(_ProbeModel):
     """Distinguishable photons: each evolves independently, detectors count
     photons per mode without resolving labels, so the count distribution is
     the convolution of the single-photon distributions."""
 
+    kind = "distinguishable"
+
     def __init__(self, interf: Interferometer, probe: Probe, psis=None):
-        if probe.kind != "distinguishable":
-            raise ValueError("DistinguishableProbeModel requires a distinguishable probe")
-        self.interf = interf
-        self.probe = probe
-        self.psis = None if psis is None else np.asarray(psis, dtype=float)
+        super().__init__(interf, probe, psis)
         d = interf.d
-        if len(probe.occupations) != d:
-            raise ValueError("probe occupations do not match mode count")
         self.photon_modes = [m for m, n in enumerate(probe.occupations) for _ in range(n)]
         self.n = len(self.photon_modes)
         self.basis = enumerate_fock_basis(d, self.n)
-        self.theta_offset = _theta_offsets(interf, self.psis)
-        self.unknown_modes = np.array(interf.unknown_modes, dtype=int)
         # index maps: adding one photon in mode i to a k-photon state
         self._lift = []
         for k in range(self.n):
@@ -216,14 +225,6 @@ class DistinguishableProbeModel:
                     occ_up[mode] += 1
                     table[s_i, mode] = upper_idx[tuple(occ_up)]
             self._lift.append(table)
-
-    @property
-    def n_params(self) -> int:
-        return len(self.unknown_modes)
-
-    @property
-    def outcomes(self):
-        return self.basis
 
     def _single_photon(self, theta: np.ndarray):
         """Per-photon mode distributions and gradients for a theta batch."""
@@ -246,11 +247,8 @@ class DistinguishableProbeModel:
         return p_single, g_single
 
     def prob_batch(self, points: np.ndarray):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n_pts = points.shape[0]
-        theta = np.tile(self.theta_offset, (n_pts, 1))
-        for j, mode in enumerate(self.unknown_modes):
-            theta[:, mode] += points[:, j]
+        theta = self._theta(points)
+        n_pts = theta.shape[0]
         p_single, g_single = self._single_photon(theta)
         d = self.interf.d
         dist = np.ones((n_pts, 1))
@@ -272,16 +270,6 @@ class DistinguishableProbeModel:
             dist, grad = new_dist, new_grad
         return dist, grad
 
-    def distribution(self, phis) -> OutcomeDistribution:
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        probs, grads = self.prob_batch(phis[None, :])
-        return OutcomeDistribution(
-            outcomes=self.basis,
-            probs=probs[0],
-            grads=grads[0],
-            phases=self.interf.config(phis, self.psis),
-        )
-
 
 def coherent_cutoff(mean_photons: float, tail: float = DEFAULT_COHERENT_TAIL) -> int:
     """Smallest total photon number whose Poisson tail mass is below ``tail``."""
@@ -291,7 +279,7 @@ def coherent_cutoff(mean_photons: float, tail: float = DEFAULT_COHERENT_TAIL) ->
     return n_max
 
 
-class CoherentProbeModel:
+class CoherentProbeModel(_ProbeModel):
     """Coherent-state probe: the output is a product of coherent states, so
     photon counts are independent Poisson variables with means |beta_i|^2.
 
@@ -299,14 +287,13 @@ class CoherentProbeModel:
     neglected Poisson tail mass stays below ``tail``.
     """
 
+    kind = "coherent"
+
     def __init__(self, interf: Interferometer, probe: Probe, psis=None,
                  tail: float = DEFAULT_COHERENT_TAIL):
-        if probe.kind != "coherent":
-            raise ValueError("CoherentProbeModel requires a coherent probe")
-        self.interf = interf
-        self.probe = probe
-        self.psis = None if psis is None else np.asarray(psis, dtype=float)
+        super().__init__(interf, probe, psis)
         self.tail = float(tail)
+        self.mass_tol = 2.0 * self.tail
         mean = probe.alpha**2
         self.n_max = coherent_cutoff(mean, self.tail)
         d = interf.d
@@ -317,16 +304,6 @@ class CoherentProbeModel:
         self.log_occ_fact = np.array(
             [sum(np.log(float(factorial(x))) for x in occ) for occ in self.basis]
         )
-        self.theta_offset = _theta_offsets(interf, self.psis)
-        self.unknown_modes = np.array(interf.unknown_modes, dtype=int)
-
-    @property
-    def n_params(self) -> int:
-        return len(self.unknown_modes)
-
-    @property
-    def outcomes(self):
-        return self.basis
 
     def _mode_means(self, theta: np.ndarray):
         """Poisson means per mode and their phase gradients for a theta batch."""
@@ -345,12 +322,7 @@ class CoherentProbeModel:
         return mu, dmu
 
     def prob_batch(self, points: np.ndarray):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n_pts = points.shape[0]
-        theta = np.tile(self.theta_offset, (n_pts, 1))
-        for j, mode in enumerate(self.unknown_modes):
-            theta[:, mode] += points[:, j]
-        mu, dmu = self._mode_means(theta)
+        mu, dmu = self._mode_means(self._theta(points))
         # log p(x) = sum_i (x_i log mu_i - mu_i - log x_i!)
         tiny = 1e-300
         log_mu = np.log(np.maximum(mu, tiny))
@@ -362,17 +334,6 @@ class CoherentProbeModel:
         grads *= probs[:, :, None]
         return probs, grads
 
-    def distribution(self, phis) -> OutcomeDistribution:
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        probs, grads = self.prob_batch(phis[None, :])
-        return OutcomeDistribution(
-            outcomes=self.basis,
-            probs=probs[0],
-            grads=grads[0],
-            phases=self.interf.config(phis, self.psis),
-            mass_tol=2.0 * self.tail,
-        )
-
 
 def build_model(interf: Interferometer, probe: Probe, psis=None, **kwargs):
     """Model object for any probe kind."""
@@ -382,37 +343,3 @@ def build_model(interf: Interferometer, probe: Probe, psis=None, **kwargs):
         "coherent": CoherentProbeModel,
     }[probe.kind]
     return cls(interf, probe, psis=psis, **kwargs)
-
-
-def _interferometer_from_parts(u_in, config: PhaseConfig, u_out) -> Interferometer:
-    unknown_modes = config.unknown_modes()
-    return Interferometer(
-        u_in=np.asarray(u_in, dtype=complex),
-        u_out=np.asarray(u_out, dtype=complex),
-        unknown_modes=unknown_modes,
-        control_modes=unknown_modes,
-        fixed_controls=config.control,
-    )
-
-
-def outcome_distribution(u_in, config: PhaseConfig, u_out, probe: Probe) -> OutcomeDistribution:
-    """Exact outcome distribution for a fock or distinguishable probe.
-
-    Coherent probes have their own truncated construction, see
-    ``coherent_distribution``.
-    """
-    if probe.kind == "coherent":
-        raise ValueError("use coherent_distribution for coherent probes")
-    interf = _interferometer_from_parts(u_in, config, u_out)
-    model = build_model(interf, probe)
-    return model.distribution(config.unknown_values())
-
-
-def coherent_distribution(u_in, config: PhaseConfig, u_out, probe: Probe,
-                          tail: float = DEFAULT_COHERENT_TAIL) -> OutcomeDistribution:
-    """Truncated Poisson-product outcome distribution for a coherent probe."""
-    if probe.kind != "coherent":
-        raise ValueError("coherent_distribution requires a coherent probe")
-    interf = _interferometer_from_parts(u_in, config, u_out)
-    model = CoherentProbeModel(interf, probe, tail=tail)
-    return model.distribution(config.unknown_values())

@@ -7,13 +7,14 @@ from mmzi.adaptive import (
     CountRecord,
     GaussianPrior,
     ProtocolConfig,
+    _joint_sigma,
+    _likelihood_peaks,
+    _refine,
+    _sigma_from_curvature,
     derive_seeds,
     log_likelihood,
-    ml_estimate,
     monte_carlo,
     quotient_errors,
-    run_adaptive_four_mode,
-    run_adaptive_three_mode,
     run_protocol,
     sample_outcomes,
     wrap_angle,
@@ -98,46 +99,38 @@ def test_log_likelihood_zero_probability():
     assert log_likelihood(record, None, [0.3, 0.4], model) == -np.inf
 
 
-def test_ml_estimate_consistent_with_exact_counts(q1_model):
+def test_likelihood_peaks_keep_the_truth_for_exact_counts(q1_model):
     # counts proportional to the true distribution maximize the likelihood
-    # at the true phases (Gibbs): fractional counts are fine for the math
+    # at the true phases (Gibbs): fractional counts are fine for the math.
+    # A single control setting leaves exactly tied images, so the truth
+    # must be among the kept peaks (modulo the phase group), to within the
+    # sub-grid step grid_step / 5.
     dist = q1_model.distribution(Q1)
     counts = CountRecord(counts=1000.0 * dist.probs, total=1000.0 * dist.probs.sum())
-    result = ml_estimate(counts, q1_model, prior=None, grid_step=0.05)
-    err = quotient_errors(result.estimate, Q1, [np.array(s) for s in THREE_MODE_PHASE_GROUP])
-    assert np.max(np.abs(err)) < 1e-3
+    peaks = _likelihood_peaks([(counts, q1_model)], grid_step=0.05, refine_tol=1e-5)
+    group = [np.array(s) for s in THREE_MODE_PHASE_GROUP]
+    errors = [np.max(np.abs(quotient_errors(x, Q1, group))) for x, _value in peaks]
+    assert min(errors) <= 0.01 + 1e-12
 
 
-def test_ml_estimate_prior_pull(q1_model):
+def test_refine_prior_pull(q1_model):
     dist = q1_model.distribution(Q1)
     counts = sample_outcomes(dist, 50, 11)
     tight = GaussianPrior(mean=Q1 + 0.05, sigma=[1e-4, 1e-4])
-    result = ml_estimate(counts, q1_model, prior=tight)
-    assert np.max(np.abs(result.estimate - (Q1 + 0.05))) < 5e-3
+    x, _value = _refine(counts, tight, q1_model, Q1, refine_tol=1e-5)
+    assert np.max(np.abs(x - (Q1 + 0.05))) < 5e-3
 
 
-def test_ml_estimate_curvature_fallback_at_singular_point(q1_model):
-    # the zero-phase point has an exactly singular FIM; sigma must fall back
-    # to the likelihood curvature (here dominated by the prior)
+def test_sigma_from_curvature_at_singular_point(q1_model):
+    # the zero-phase point has an exactly singular FIM, so run_protocol falls
+    # back to the likelihood curvature (here dominated by the prior)
     dist = q1_model.distribution([0.0, 0.0])
     counts = sample_outcomes(dist, 500, 3)
+    assert _joint_sigma([(counts, q1_model)], np.zeros(2)) is None
     prior = GaussianPrior(mean=[0.0, 0.0], sigma=[0.01, 0.01])
-    result = ml_estimate(counts, q1_model, prior=prior)
-    assert result.fim_singular
-    assert np.all(result.sigma > 0)
-    assert np.all(np.isfinite(result.sigma))
-
-
-def test_ml_estimate_sigma_matches_working_point(q1_model):
-    nu = 5000
-    dist = q1_model.distribution(Q1)
-    counts = sample_outcomes(dist, nu, 21)
-    prior = GaussianPrior(mean=Q1, sigma=[0.05, 0.05])
-    result = ml_estimate(counts, q1_model, prior=prior)
-    # sigma set = {0.531, 0.556}/sqrt(nu) at the mirror working points
-    got = sorted(result.sigma * np.sqrt(nu))
-    assert abs(got[0] - 0.531) < 0.01
-    assert abs(got[1] - 0.556) < 0.01
+    sigma = _sigma_from_curvature(counts, prior, q1_model, np.zeros(2))
+    assert np.all(sigma > 0)
+    assert np.all(sigma <= 0.01 + 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -181,11 +174,11 @@ def test_protocol_config_validation():
 
 def test_four_mode_zero_phi0_rejected():
     with pytest.raises(ValueError):
-        run_adaptive_four_mode((0.5, 1.0), phi0=0.0, nu=200, seed=1)
+        run_protocol(ProtocolConfig(modes=4, true_phases=(0.5, 1.0), phi0=0.0, nu=200), 1)
 
 
 def test_trace_resource_accounting():
-    trace = run_adaptive_three_mode((2.0, 1.0), nu=2000, seed=5)
+    trace = run_protocol(ProtocolConfig(modes=3, true_phases=(2.0, 1.0), nu=2000), 5)
     assert trace.nu_total == 2000
     assert sum(trace.budgets()) == 2000
     assert all(s.counts.counts.sum() <= s.nu for s in trace.steps)
@@ -195,18 +188,19 @@ def test_trace_resource_accounting():
 
 
 def test_protocol_determinism():
-    a = run_adaptive_three_mode((2.0, 1.0), nu=2000, seed=33)
-    b = run_adaptive_three_mode((2.0, 1.0), nu=2000, seed=33)
+    config = ProtocolConfig(modes=3, true_phases=(2.0, 1.0), nu=2000)
+    a = run_protocol(config, 33)
+    b = run_protocol(config, 33)
     assert np.array_equal(a.final_estimate, b.final_estimate)
     for sa, sb in zip(a.steps, b.steps):
         assert np.array_equal(sa.counts.counts, sb.counts.counts)
         assert np.array_equal(sa.psis, sb.psis)
-    c = run_adaptive_three_mode((2.0, 1.0), nu=2000, seed=34)
+    c = run_protocol(config, 34)
     assert not np.array_equal(a.steps[0].counts.counts, c.steps[0].counts.counts)
 
 
 def test_true_phases_at_working_point_give_small_controls():
-    trace = run_adaptive_three_mode(tuple(Q1), nu=4000, seed=8)
+    trace = run_protocol(ProtocolConfig(modes=3, true_phases=tuple(Q1), nu=4000), 8)
     # step-2 controls should be close to zero (modulo the exact shift group)
     psis = trace.steps[1].psis
     images = [wrap_angle(psis + np.array(s)) for s in THREE_MODE_PHASE_GROUP]

@@ -1,9 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from mmzi.cli import main
+from mmzi.cli import DEFAULT_CONFIG, main
 from mmzi.landscape import load_grid
 
 
@@ -155,3 +156,41 @@ def test_flag_overrides_config(capsys, tmp_path):
     )
     assert code == 0
     assert load_grid(out).resolution == (64, 64)
+
+
+def test_runs_leave_the_default_config_unchanged(capsys, tmp_path):
+    before = copy.deepcopy(DEFAULT_CONFIG)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"circuit": {"modes": 3}}))
+    out = tmp_path / "g.csv"
+    code, _, _ = run_cli(
+        capsys, ["scan", "--config", str(config), "--resolution", "64", "--out", str(out)]
+    )
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, ["bounds"])
+    assert code == 0
+    assert DEFAULT_CONFIG == before
+    assert json.loads(stdout)["config"] == before
+
+
+@pytest.mark.parametrize(
+    "command,doc,flags",
+    [
+        ("scan", {"scan": {"resolution": "abc"}}, []),
+        ("scan", {}, ["--resolution", "10"]),
+        ("adaptive", {"adaptive": {"nu": "1e4"}}, []),
+        ("scan", {"scan": {"format": "xml"}}, []),
+        ("adaptive", {"adaptive": {"true_phases": [1.0]}}, []),
+        ("adaptive", {"adaptive": {"fractions": [0.5, 0.5]}}, []),
+        ("bounds", {"scan": 5}, []),
+    ],
+)
+def test_bad_config_values_exit_1_before_any_work(capsys, tmp_path, command, doc, flags):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--seed", "1", "--reps", "2", "--out", str(out)]
+    code, _, err = run_cli(capsys, argv + flags)
+    assert code == 1
+    assert err.startswith("config error:")
+    assert not out.exists()

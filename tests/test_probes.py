@@ -10,8 +10,6 @@ from mmzi.probes import (
     Probe,
     build_model,
     coherent_cutoff,
-    coherent_distribution,
-    outcome_distribution,
 )
 
 THREE = three_mode_mzi()
@@ -149,18 +147,17 @@ def test_coherent_truncation_tail():
     assert totals.max() == model.n_max
 
 
-def test_outcome_distribution_entry_points():
-    config = THREE.config([0.4, 1.3])
-    dist = outcome_distribution(THREE.u_in, config, THREE.u_out, Probe.fock((1, 1, 1)))
-    assert abs(dist.probs.sum() - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        outcome_distribution(THREE.u_in, config, THREE.u_out, Probe.coherent(1.0))
-    dist_c = coherent_distribution(
-        THREE.u_in, config, THREE.u_out, Probe.coherent(np.sqrt(3.0))
-    )
-    assert abs(dist_c.probs.sum() - 1.0) < 2e-8
-    with pytest.raises(ValueError):
-        coherent_distribution(THREE.u_in, config, THREE.u_out, Probe.fock((1, 1, 1)))
+def test_models_check_probe_kind_and_mode_count():
+    with pytest.raises(ValueError, match="CoherentProbeModel requires a coherent probe"):
+        CoherentProbeModel(THREE, Probe.fock((1, 1, 1)))
+    with pytest.raises(ValueError, match="mode count"):
+        build_model(THREE, Probe.fock((1, 1, 1, 1)))
+    with pytest.raises(ValueError, match="mode count"):
+        build_model(THREE, Probe.distinguishable((1, 1)))
+    fock = build_model(THREE, Probe.fock((1, 1, 1))).distribution([0.4, 1.3])
+    coherent = build_model(THREE, Probe.coherent(np.sqrt(3.0))).distribution([0.4, 1.3])
+    assert fock.mass_tol == 1e-10
+    assert coherent.mass_tol == 2e-8
 
 
 def test_fock_outcomes_equal_sector_basis():

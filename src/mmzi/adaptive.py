@@ -102,16 +102,25 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Occurrence counts aligned with a model's outcome ordering."""
+    """Occurrence counts aligned with a model's outcome ordering.
+
+    ``observed`` holds the indices of the outcomes seen at least once and
+    ``observed_counts`` their counts: the only terms of a log-likelihood.
+    """
 
     counts: np.ndarray
     total: int
+    observed: np.ndarray = field(init=False, repr=False, compare=False)
+    observed_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
         object.__setattr__(self, "counts", counts)
         if abs(float(counts.sum()) - float(self.total)) > 1e-9 * max(1.0, float(self.total)):
             raise ValueError(f"counts sum to {counts.sum()}, expected {self.total}")
+        observed = np.flatnonzero(counts > 0)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "observed_counts", counts[observed])
 
 
 def sample_outcomes(dist: OutcomeDistribution, nu: int, rng) -> CountRecord:
@@ -133,20 +142,18 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
     """log prior + sum_k n_k log p(k|phases); -inf when an observed outcome
     has zero probability."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    dist = model.distribution(np.mod(phases, TWO_PI))
+    probs, _ = model.prob_batch(np.mod(phases, TWO_PI)[None, :], grads=False)
     value = prior.log_density(phases) if prior is not None else 0.0
-    observed = counts.counts > 0
-    p = dist.probs[observed]
+    p = probs[0, counts.observed]
     if np.any(p <= 0.0):
         return -np.inf
-    return value + float(np.dot(counts.counts[observed], np.log(p)))
+    return value + float(np.dot(counts.observed_counts, np.log(p)))
 
 
 def _data_loglik_batch(counts: CountRecord, model, points: np.ndarray) -> np.ndarray:
-    observed = np.flatnonzero(counts.counts > 0)
-    probs, _ = model.prob_batch(np.mod(points, TWO_PI))
-    p = np.maximum(probs[:, observed], 1e-300)
-    return np.log(p) @ counts.counts[observed]
+    probs, _ = model.prob_batch(np.mod(points, TWO_PI), grads=False)
+    p = np.maximum(probs[:, counts.observed], 1e-300)
+    return np.log(p) @ counts.observed_counts
 
 
 def _joint_sigma(batches, estimate):
@@ -436,6 +443,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
                 score=value,
             )
         )
+    rough_centers = [(h.mean, h.sigma) for h in hypotheses]
     best = max(hypotheses, key=lambda h: h.score)
     steps.append(
         StepRecord(
@@ -501,7 +509,8 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         )
 
     final_estimate, final_sigma = _joint_refit(
-        collected, hypotheses, anchors, config.refine_tol
+        collected, hypotheses, anchors, rough_centers, config.phase_group(),
+        config.refine_tol,
     )
     return ProtocolTrace(
         steps=tuple(steps),
@@ -519,7 +528,14 @@ def _joint_loglik_batch(collected, points: np.ndarray) -> np.ndarray:
     return total
 
 
-def _joint_refit(collected, hypotheses, anchors, refine_tol):
+def _near_images(x, estimate, sigma, group):
+    """Whether ``x`` lies within 5 widths ``sigma``, on every axis, of
+    ``estimate`` or one of its phase-group images."""
+    return any(np.max(np.abs(wrap_angle(x - estimate - shift)) / sigma) < 5.0
+               for shift in group)
+
+
+def _joint_refit(collected, hypotheses, anchors, rough_centers, group, refine_tol):
     """Maximize the joint likelihood of every step's counts.
 
     Each surviving hypothesis seeds a local grid; so does its reflection
@@ -530,8 +546,28 @@ def _joint_refit(collected, hypotheses, anchors, refine_tol):
     the final width comes from the summed per-step information
     sum_s nu_s F_s at the winner, through ``invert_fisher`` (NaN when that
     sum is singular).
+
+    A reflection through an anchor composes the two line reflections of
+    the four-mode working point (``FOUR_MODE_STEP_OFFSET``), so when a
+    working-point window reaches the a <-> b mirror image every hypothesis
+    and every reflected seed sits in the mirror basin.  Each rough-step
+    hypothesis (``rough_centers``: mean, width) therefore also gets a
+    window on the joint likelihood.  A window whose grid peak is within 40
+    nats of the winner and more than 5 final widths from the winner and
+    its ``group`` images is polished; the result replaces the winner only
+    in another basin and with a strictly higher joint likelihood.
     """
     n = len(hypotheses[0].mean)
+
+    def polish(x0):
+        result = minimize(
+            lambda x: -_joint_loglik_batch(collected, x[None, :])[0],
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": refine_tol, "fatol": 1e-10, "maxiter": 400},
+        )
+        return result.x, -result.fun
+
     centers = []
     for hyp in hypotheses:
         centers.append((hyp.mean, hyp.sigma))
@@ -549,16 +585,23 @@ def _joint_refit(collected, hypotheses, anchors, refine_tol):
     for x0, value in seeds[:8]:
         if value < seeds[0][1] - 40.0:
             break
-        result = minimize(
-            lambda x: -_joint_loglik_batch(collected, x[None, :])[0],
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": refine_tol, "fatol": 1e-10, "maxiter": 400},
-        )
-        if -result.fun > best_value:
-            best_value, best_x = -result.fun, result.x
+        x, value = polish(x0)
+        if value > best_value:
+            best_value, best_x = value, x
     estimate = np.mod(best_x, TWO_PI)
     sigma = _joint_sigma(collected, estimate)
+    for mean, width in rough_centers:
+        if sigma is None:
+            break
+        points, _shape = _window(mean, width, np.maximum(width / 2.0, 1e-6))
+        values = _joint_loglik_batch(collected, points)
+        j = int(np.argmax(values))
+        if values[j] < best_value - 40.0 or _near_images(points[j], estimate, sigma, group):
+            continue
+        x, value = polish(points[j])
+        if value > best_value and not _near_images(x, estimate, sigma, group):
+            best_value, estimate = value, np.mod(x, TWO_PI)
+            sigma = _joint_sigma(collected, estimate)
     return estimate, (np.full(n, np.nan) if sigma is None else sigma)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlogy
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary, single_mode_sector_state
 from .probes import OutcomeDistribution, Probe, coherent_cutoff
@@ -176,7 +176,7 @@ def qfim_for_probe(interf: Interferometer, probe: Probe,
     if probe.kind == "coherent":
         mean = probe.alpha**2
         ns = np.arange(coherent_cutoff(mean, sector_tail) + 1)
-        weights = stats.poisson.pmf(ns, mean)
+        weights = np.exp(xlogy(ns, mean) - gammaln(ns + 1) - mean)  # Poisson pmf
         weights = weights / weights.sum()
         states = [single_mode_sector_state(interf.u_in, probe.input_mode, int(n)) for n in ns]
         bases = [enumerate_fock_basis(interf.d, int(n)) for n in ns]

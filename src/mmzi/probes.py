@@ -5,13 +5,18 @@ Each probe kind gets a model object bound to a fixed interferometer
 
 * ``distribution(phis)``  -- exact probabilities and analytic gradients
   with respect to the unknown phases, packaged as an OutcomeDistribution;
-* ``prob_batch(points)``  -- the same quantities evaluated for many phase
-  points at once, used by landscape scans and likelihood grids.
+* ``prob_batch(points, grads=True)``  -- the same quantities evaluated for
+  many phase points at once, used by landscape scans and likelihood grids.
+  ``points`` is [n_pts, n_params]; the result is (probs [n_pts, n_out],
+  grads [n_pts, n_out, n_params]).  With ``grads=False`` the result is
+  (probs, None) and no derivative is computed; ``probs`` is bit for bit the
+  array the ``grads=True`` call returns, so likelihoods that need only
+  probabilities take this path without moving an output.
 
 The models share one private base, ``_ProbeModel``, which checks the probe,
 builds the per-mode phase vectors and packages ``distribution``.  A model
 subclass sets ``kind`` (the probe kind it accepts) and ``basis`` (its
-ordered outcome list) and defines ``prob_batch``.
+ordered outcome list) and defines ``prob_batch`` with the contract above.
 
 For a Fock probe the amplitude on outcome x factorizes over the n-photon
 intermediate basis m as
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtrc
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary
 from .optics import Interferometer, PhaseConfig
@@ -116,9 +121,8 @@ class OutcomeDistribution:
 
 
 class _ProbeModel:
-    """Base of the probe models; the subclass contract is in the module
-    docstring.  ``prob_batch(points)`` maps [n_pts, n_params] to (probs
-    [n_pts, n_out], grads [n_pts, n_out, n_params])."""
+    """Base of the probe models; the subclass contract, including that of
+    ``prob_batch(points, grads=True)``, is in the module docstring."""
 
     kind = ""
     mass_tol = PROB_SUM_TOL
@@ -146,9 +150,9 @@ class _ProbeModel:
     def _theta(self, points) -> np.ndarray:
         """Per-mode phases [n_pts, d] for unknown-phase points [n_pts, n_params]."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        theta = np.tile(self.theta_offset, (points.shape[0], 1))
-        for j, mode in enumerate(self.unknown_modes):
-            theta[:, mode] += points[:, j]
+        theta = np.empty((points.shape[0], len(self.theta_offset)))
+        theta[:] = self.theta_offset
+        theta[:, self.unknown_modes] += points
         return theta
 
     def distribution(self, phis) -> OutcomeDistribution:
@@ -180,24 +184,19 @@ class FockProbeModel(_ProbeModel):
         # occupation of the generating mode per intermediate state, one row per parameter
         self.gen_occ = self.occ[:, self.unknown_modes].T  # [n_params, n_states]
 
-    def _amplitudes(self, theta_modes: np.ndarray):
-        """Amplitudes and their phase-derivatives for a batch of theta vectors."""
-        # theta_modes: [n_pts, d]
-        w = np.exp(-1j * (self.occ @ theta_modes.T))  # [n_states, n_pts]
+    def prob_batch(self, points: np.ndarray, grads: bool = True):
+        theta = self._theta(points)  # [n_pts, d]
+        w = np.exp(-1j * (self.occ @ theta.T))  # [n_states, n_pts]
         v = w * self.t_in[:, None]
         amps = self.t_out @ v  # [n_out, n_pts]
-        damps = np.empty((self.n_params,) + amps.shape, dtype=complex)
-        for j in range(self.n_params):
-            damps[j] = self.t_out @ (v * (-1j * self.gen_occ[j])[:, None])
-        return amps, damps
-
-    def prob_batch(self, points: np.ndarray):
-        amps, damps = self._amplitudes(self._theta(points))
         probs = (amps.real**2 + amps.imag**2).T
-        grads = np.empty(probs.shape + (self.n_params,))
+        if not grads:
+            return probs, None
+        out = np.empty(probs.shape + (self.n_params,))
         for j in range(self.n_params):
-            grads[:, :, j] = 2.0 * (amps.conj() * damps[j]).real.T
-        return probs, grads
+            damps = self.t_out @ (v * (-1j * self.gen_occ[j])[:, None])
+            out[:, :, j] = 2.0 * (amps.conj() * damps).real.T
+        return probs, out
 
 
 class DistinguishableProbeModel(_ProbeModel):
@@ -226,8 +225,9 @@ class DistinguishableProbeModel(_ProbeModel):
                     table[s_i, mode] = upper_idx[tuple(occ_up)]
             self._lift.append(table)
 
-    def _single_photon(self, theta: np.ndarray):
-        """Per-photon mode distributions and gradients for a theta batch."""
+    def _single_photon(self, theta: np.ndarray, grads: bool):
+        """Per-photon mode distributions and, with ``grads``, their
+        gradients (else None) for a theta batch."""
         d = self.interf.d
         n_pts = theta.shape[0]
         phase = np.exp(-1j * theta)  # [n_pts, d]
@@ -235,6 +235,8 @@ class DistinguishableProbeModel(_ProbeModel):
         # c[p, i, q] = sum_m u_out[i, m] phase[p, m] u_in[m, q]
         c = np.einsum("im,pm,mq->piq", self.interf.u_out, phase, u_in_cols)
         p_single = c.real**2 + c.imag**2  # [n_pts, d, n_photons]
+        if not grads:
+            return p_single, None
         g_single = np.empty((n_pts, d, len(self.photon_modes), self.n_params))
         for j, mode in enumerate(self.unknown_modes):
             dc = np.einsum(
@@ -246,27 +248,28 @@ class DistinguishableProbeModel(_ProbeModel):
             g_single[:, :, :, j] = 2.0 * (c.conj() * dc).real
         return p_single, g_single
 
-    def prob_batch(self, points: np.ndarray):
+    def prob_batch(self, points: np.ndarray, grads: bool = True):
         theta = self._theta(points)
         n_pts = theta.shape[0]
-        p_single, g_single = self._single_photon(theta)
+        p_single, g_single = self._single_photon(theta, grads)
         d = self.interf.d
         dist = np.ones((n_pts, 1))
-        grad = np.zeros((n_pts, 1, self.n_params))
+        grad = np.zeros((n_pts, 1, self.n_params)) if grads else None
         for q in range(self.n):
             table = self._lift[q]
             size_up = len(enumerate_fock_basis(d, q + 1))
             new_dist = np.zeros((n_pts, size_up))
-            new_grad = np.zeros((n_pts, size_up, self.n_params))
+            new_grad = np.zeros((n_pts, size_up, self.n_params)) if grads else None
             pq = p_single[:, :, q]  # [n_pts, d]
-            gq = g_single[:, :, q, :]  # [n_pts, d, n_params]
             for s in range(dist.shape[1]):
                 for mode in range(d):
                     t = table[s, mode]
                     new_dist[:, t] += dist[:, s] * pq[:, mode]
-                    new_grad[:, t, :] += (
-                        grad[:, s, :] * pq[:, mode, None] + dist[:, s, None] * gq[:, mode, :]
-                    )
+                    if grads:
+                        new_grad[:, t, :] += (
+                            grad[:, s, :] * pq[:, mode, None]
+                            + dist[:, s, None] * g_single[:, mode, q, :]
+                        )
             dist, grad = new_dist, new_grad
         return dist, grad
 
@@ -274,7 +277,7 @@ class DistinguishableProbeModel(_ProbeModel):
 def coherent_cutoff(mean_photons: float, tail: float = DEFAULT_COHERENT_TAIL) -> int:
     """Smallest total photon number whose Poisson tail mass is below ``tail``."""
     n_max = int(mean_photons)
-    while stats.poisson.sf(n_max, mean_photons) >= tail:
+    while pdtrc(n_max, mean_photons) >= tail:
         n_max += 1
     return n_max
 
@@ -305,12 +308,15 @@ class CoherentProbeModel(_ProbeModel):
             [sum(np.log(float(factorial(x))) for x in occ) for occ in self.basis]
         )
 
-    def _mode_means(self, theta: np.ndarray):
-        """Poisson means per mode and their phase gradients for a theta batch."""
+    def _mode_means(self, theta: np.ndarray, grads: bool):
+        """Poisson means per mode and, with ``grads``, their phase gradients
+        (else None) for a theta batch."""
         phase = np.exp(-1j * theta)  # [n_pts, d]
         col = self.interf.u_in[:, self.probe.input_mode] * self.probe.alpha
         beta = np.einsum("im,pm,m->pi", self.interf.u_out, phase, col)
         mu = beta.real**2 + beta.imag**2  # [n_pts, d]
+        if not grads:
+            return mu, None
         dmu = np.empty(mu.shape + (self.n_params,))
         for j, mode in enumerate(self.unknown_modes):
             dbeta = np.einsum(
@@ -321,18 +327,20 @@ class CoherentProbeModel(_ProbeModel):
             dmu[:, :, j] = 2.0 * (beta.conj() * dbeta).real
         return mu, dmu
 
-    def prob_batch(self, points: np.ndarray):
-        mu, dmu = self._mode_means(self._theta(points))
+    def prob_batch(self, points: np.ndarray, grads: bool = True):
+        mu, dmu = self._mode_means(self._theta(points), grads)
         # log p(x) = sum_i (x_i log mu_i - mu_i - log x_i!)
         tiny = 1e-300
         log_mu = np.log(np.maximum(mu, tiny))
         log_p = self.occ @ log_mu.T - mu.sum(axis=1)[None, :] - self.log_occ_fact[:, None]
         probs = np.exp(log_p).T  # [n_pts, n_out]
+        if not grads:
+            return probs, None
         # d log p / d phi_j = sum_i (x_i / mu_i - 1) dmu_ij; total means cancel
         ratio = np.einsum("xi,pi->pxi", self.occ, 1.0 / np.maximum(mu, tiny))
-        grads = np.einsum("pxi,pij->pxj", ratio, dmu) - dmu.sum(axis=1)[:, None, :]
-        grads *= probs[:, :, None]
-        return probs, grads
+        out = np.einsum("pxi,pij->pxj", ratio, dmu) - dmu.sum(axis=1)[:, None, :]
+        out *= probs[:, :, None]
+        return probs, out
 
 
 def build_model(interf: Interferometer, probe: Probe, psis=None, **kwargs):

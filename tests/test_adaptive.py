@@ -84,9 +84,23 @@ def test_log_likelihood_linear_in_counts(q1_model):
     assert np.isclose(with_prior, 2 * base + prior.log_density(Q1))
 
 
+def _distribution_log_likelihood(counts, prior, phases, model):
+    """Reference: the likelihood read from ``model.distribution`` (with
+    gradients) through a boolean mask of the observed outcomes."""
+    phases = np.atleast_1d(np.asarray(phases, dtype=float))
+    dist = model.distribution(np.mod(phases, 2.0 * np.pi))
+    value = prior.log_density(phases) if prior is not None else 0.0
+    observed = counts.counts > 0
+    p = dist.probs[observed]
+    if np.any(p <= 0.0):
+        return -np.inf
+    return value + float(np.dot(counts.counts[observed], np.log(p)))
+
+
 def test_log_likelihood_zero_probability():
     # identity circuit maps |1,1,1> to itself, every other outcome has
-    # exactly zero probability: observing one is -inf
+    # exactly zero probability: observing one is -inf, and outcomes of
+    # zero probability that were not observed do not count
     from mmzi.optics import Interferometer
 
     eye = np.eye(3, dtype=complex)
@@ -97,6 +111,30 @@ def test_log_likelihood_zero_probability():
     counts[dead] = 1
     record = CountRecord(counts=counts, total=1)
     assert log_likelihood(record, None, [0.3, 0.4], model) == -np.inf
+    alive = CountRecord(counts=5 * np.array([occ == (1, 1, 1) for occ in model.outcomes]),
+                        total=5)
+    assert np.isfinite(log_likelihood(alive, None, [0.3, 0.4], model))
+    for phases in ([0.3, 0.4], [2.0, -1.0]):
+        for r in (record, alive):
+            assert (log_likelihood(r, None, phases, model)
+                    == _distribution_log_likelihood(r, None, phases, model))
+
+
+@pytest.mark.parametrize("interf,probe", [
+    (THREE, Probe.fock((1, 1, 1))),
+    (four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1))),
+    (THREE, Probe.distinguishable((1, 1, 1))),
+    (THREE, Probe.coherent(1.2)),
+])
+def test_log_likelihood_matches_the_distribution_value_bit_for_bit(interf, probe):
+    rng = np.random.default_rng(11)
+    model = build_model(interf, probe, psis=rng.uniform(-1.0, 1.0, 2))
+    counts = sample_outcomes(model.distribution([0.7, 1.3]), 300, rng)
+    prior = GaussianPrior(mean=[0.6, 1.4], sigma=[0.2, 0.3])
+    for phases in [[0.7, 1.3], [-0.4, 7.1], [3.0, 0.0], *rng.uniform(-7, 7, (5, 2))]:
+        for p in (None, prior):
+            assert (log_likelihood(counts, p, phases, model)
+                    == _distribution_log_likelihood(counts, p, phases, model))
 
 
 def test_likelihood_peaks_keep_the_truth_for_exact_counts(q1_model):

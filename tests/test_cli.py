@@ -194,3 +194,15 @@ def test_bad_config_values_exit_1_before_any_work(capsys, tmp_path, command, doc
     assert code == 1
     assert err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["scan", "--resolution", "abc", "--out", "x.csv"], 1),
+        (["bogus"], 1),
+        (["--help"], 0),
+    ],
+)
+def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code):
+    assert run_cli(capsys, argv)[0] == code

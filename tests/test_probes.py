@@ -100,6 +100,11 @@ def test_batch_matches_pointwise():
             dist = model.distribution(phis)
             assert np.allclose(probs[k], dist.probs, atol=1e-12)
             assert np.allclose(grads[k], dist.grads, atol=1e-12)
+        # the gradient-free path returns the same probabilities, bit for bit
+        for batch in (points, points[:1]):
+            lean, none = model.prob_batch(batch, grads=False)
+            assert none is None
+            assert np.array_equal(lean, model.prob_batch(batch)[0])
 
 
 def test_distinguishable_matches_labeled_enumeration():

@@ -6,7 +6,7 @@ moves any of them changes the numbers the package reports."""
 import numpy as np
 import pytest
 
-from mmzi.adaptive import ProtocolConfig, derive_seeds, run_protocol
+from mmzi.adaptive import ProtocolConfig, derive_seeds, quotient_errors, run_protocol
 from mmzi.landscape import find_working_points, scan_grid
 from mmzi.optics import three_mode_mzi
 from mmzi.probes import Probe
@@ -30,6 +30,18 @@ def test_protocol_final_estimate_and_sigma(modes, true_phases, seed, estimate, s
     trace = run_protocol(ProtocolConfig(modes=modes, true_phases=true_phases, nu=10000), seed)
     np.testing.assert_allclose(trace.final_estimate, estimate, rtol=0, atol=ATOL)
     np.testing.assert_allclose(trace.final_sigma, sigma, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("master_seed,repetition", [(19, 24), (50, 1)])
+def test_four_mode_mirror_basin_repetitions_reach_the_truth(master_seed, repetition):
+    # These repetitions of the 48-repetition four-mode run (bench workload
+    # adaptive_mc) used to end in the a <-> b mirror basin, 26.6 and 22.3
+    # bound widths from the truth; the final joint refit must find the
+    # rough step's basin, whose joint likelihood is higher.
+    config = ProtocolConfig(modes=4, true_phases=(0.7, 1.3), nu=10000)
+    trace = run_protocol(config, derive_seeds(master_seed, 48)[repetition])
+    errors = quotient_errors(trace.final_estimate, config.true_phases, config.phase_group())
+    assert np.max(np.abs(errors)) <= 6.0 * config.bound_coeff / np.sqrt(config.nu)
 
 
 def test_three_mode_fock_best_working_point():

@@ -8,11 +8,8 @@ Monte Carlo runs of a multi-step adaptive maximum-likelihood protocol.
 
 from .optics import (
     Interferometer,
-    PhaseConfig,
-    compose_interferometer,
     four_mode_mzi,
     multiport_unitary,
-    phase_layer,
     three_mode_mzi,
     unitarity_defect,
 )
@@ -70,11 +67,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Interferometer",
-    "PhaseConfig",
-    "compose_interferometer",
     "four_mode_mzi",
     "multiport_unitary",
-    "phase_layer",
     "three_mode_mzi",
     "unitarity_defect",
     "enumerate_fock_basis",

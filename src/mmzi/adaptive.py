@@ -150,10 +150,16 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
     return value + float(np.dot(counts.observed_counts, np.log(p)))
 
 
-def _data_loglik_batch(counts: CountRecord, model, points: np.ndarray) -> np.ndarray:
-    probs, _ = model.prob_batch(np.mod(points, TWO_PI), grads=False)
-    p = np.maximum(probs[:, counts.observed], 1e-300)
-    return np.log(p) @ counts.observed_counts
+def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
+    """Summed flat-prior data log-likelihood of (counts, model) batches
+    at points [n_pts, n_params]."""
+    points = np.mod(points, TWO_PI)
+    total = np.zeros(len(points))
+    for counts, model in batches:
+        p = model.prob_batch(points, grads=False)[0][:, counts.observed]
+        total += np.log(np.maximum(p, 1e-300, out=p)) @ counts.observed_counts
+        del p  # not held while the next model evaluates: that would lift the peak memory
+    return total
 
 
 def _joint_sigma(batches, estimate):
@@ -215,8 +221,7 @@ def _window(mean, sigma, step):
     return _mesh(axes) + mean, [len(a) for a in axes]
 
 
-def _likelihood_peaks(batches, grid_step: float,
-                      refine_tol: float, keep: int = 24, margin: float = 25.0,
+def _likelihood_peaks(batches, grid_step: float, keep: int = 24, margin: float = 25.0,
                       dedup_radius: float = 0.15):
     """Local maxima of the joint flat-prior likelihood of one or more
     (counts, model) batches over the torus, sharpened on a batched
@@ -409,16 +414,12 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
     retries = 0
     while True:
         batch_a = (sample_outcomes(model_a.distribution(true), nu_a, rng), model_a)
-        crude = _likelihood_peaks(
-            [batch_a], config.rough_grid_step, config.refine_tol
-        )[0][0]
+        crude = _likelihood_peaks([batch_a], config.rough_grid_step)[0][0]
         psis_b = wrap_angle(targets[0] - crude)
         model_b = build_model(interf, probe, psis=psis_b)
         batch_b = (sample_outcomes(model_b.distribution(true), nu_b, rng), model_b)
         rough_batches = [batch_a, batch_b]
-        peaks = _likelihood_peaks(
-            rough_batches, config.rough_grid_step, config.refine_tol
-        )
+        peaks = _likelihood_peaks(rough_batches, config.rough_grid_step)
         rough = peaks[0][0]
         sigma = _joint_sigma(rough_batches, rough)
         if sigma is not None:
@@ -473,7 +474,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         for hyp in hypotheses:
             step = min(config.grid_step, float(np.min(hyp.sigma)) / 2.0)
             pts, _shape = _window(hyp.mean, hyp.sigma, step)
-            values = _data_loglik_batch(counts, model, pts)
+            values = _joint_loglik_batch([(counts, model)], pts)
             j = int(np.argmax(values))
             window_peaks.append((float(values[j]), pts[j]))
         lead = max(v for v, _ in window_peaks)
@@ -519,13 +520,6 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         seed=seed,
         nu_total=int(sum(s.nu for s in steps)),
     )
-
-
-def _joint_loglik_batch(collected, points: np.ndarray) -> np.ndarray:
-    total = np.zeros(len(points))
-    for counts, model in collected:
-        total += _data_loglik_batch(counts, model, points)
-    return total
 
 
 def _near_images(x, estimate, sigma, group):

@@ -105,7 +105,8 @@ def sector_unitary(u: np.ndarray, n: int) -> np.ndarray:
 
     Entry [x, m] is <basis[x]| U |basis[m]> with both indices running over
     enumerate_fock_basis(d, n).  Unitary whenever ``u`` is.  Results are
-    memoized on the matrix bytes since sector matrices are reused heavily.
+    memoized on the matrix bytes since sector matrices are reused heavily,
+    and returned read-only so that no caller can alter the cached copy.
     """
     u = np.ascontiguousarray(u, dtype=complex)
     d = u.shape[0]
@@ -119,6 +120,7 @@ def sector_unitary(u: np.ndarray, n: int) -> np.ndarray:
     for col, occ_in in enumerate(basis):
         for row, occ_out in enumerate(basis):
             out[row, col] = transition_amplitude(u, occ_in, occ_out)
+    out.flags.writeable = False
     _SECTOR_CACHE[key] = out
     return out
 

@@ -2,13 +2,15 @@
 
 A d-arm MZI is a balanced d-port splitter, a layer of single-mode phase
 shifts, and a second balanced splitter.  Phases follow the convention
-``exp(-i * theta)`` per mode, so a phase layer is ``diag(exp(-i theta_j))``
-with ``theta_j`` the summed phase assigned to mode j.
+``exp(-i * theta)`` per mode, so the phase layer is ``diag(exp(-i theta_j))``
+with ``theta_j`` the summed phase on mode j: its unknown phase, the control
+on the same mode, and any fixed control.  ``Interferometer.control_phases``
+is the one map from control settings to that per-mode vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,65 +38,6 @@ def multiport_unitary(d: int, kind: str) -> np.ndarray:
     raise ValueError(f"unsupported multiport: d={d}, kind={kind!r}")
 
 
-def _normalized_assignments(pairs, label):
-    seen = set()
-    out = []
-    for mode, value in pairs:
-        mode = int(mode)
-        if mode in seen:
-            raise ValueError(f"duplicate mode index {mode} in {label} phases")
-        seen.add(mode)
-        out.append((mode, float(value) % TWO_PI))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Assignment of unknown and control phases to interferometer modes.
-
-    ``unknown`` lists (mode, value) pairs for the parameters under
-    estimation, ``control`` for known tunable phases.  Mode indices must be
-    distinct within each list (a mode may carry one unknown plus one
-    control); values are stored reduced to [0, 2pi).
-    """
-
-    unknown: tuple[tuple[int, float], ...] = ()
-    control: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "unknown", _normalized_assignments(self.unknown, "unknown"))
-        object.__setattr__(self, "control", _normalized_assignments(self.control, "control"))
-
-    @property
-    def n_params(self) -> int:
-        return len(self.unknown)
-
-    def mode_totals(self, d: int) -> np.ndarray:
-        """Summed phase per mode, length d."""
-        theta = np.zeros(d)
-        for mode, value in self.unknown + self.control:
-            if not 0 <= mode < d:
-                raise ValueError(f"mode index {mode} out of range for d={d}")
-            theta[mode] += value
-        return theta
-
-
-def phase_layer(d: int, config: PhaseConfig) -> np.ndarray:
-    """Diagonal phase transformation diag(exp(-i theta_j))."""
-    return np.diag(np.exp(-1j * config.mode_totals(d)))
-
-
-def compose_interferometer(u_in: np.ndarray, config: PhaseConfig, u_out: np.ndarray) -> np.ndarray:
-    """u_out . phase_layer(config) . u_in"""
-    u_in = np.asarray(u_in, dtype=complex)
-    u_out = np.asarray(u_out, dtype=complex)
-    if u_in.shape != u_out.shape or u_in.ndim != 2 or u_in.shape[0] != u_in.shape[1]:
-        raise ValueError(f"dimension mismatch: {u_in.shape} vs {u_out.shape}")
-    d = u_in.shape[0]
-    # Cheaper than a full matrix product with the diagonal layer.
-    return u_out @ (np.exp(-1j * config.mode_totals(d))[:, None] * u_in)
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-absolute-entry norm of U^dag U - identity."""
     u = np.asarray(u, dtype=complex)
@@ -103,21 +46,30 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Interferometer:
-    """A fixed multiarm MZI with declared unknown-phase and control slots.
+    """A fixed multiarm MZI: splitter ``u_in``, one phase per mode, splitter ``u_out``.
 
     ``unknown_modes[j]`` is the mode carrying the j-th phase under
-    estimation; ``control_modes[j]`` the mode whose tunable control shifts
-    that parameter (the two coincide for the presets here).
-    ``fixed_controls`` holds static control phases such as the auxiliary
-    phase of the four-arm preset.
+    estimation; its tunable control ``psis[j]`` sits on the same mode, so
+    shifting a control by +x and its unknown by -x leaves the circuit alone.
+    ``fixed_controls`` holds static (mode, phase) pairs such as the
+    auxiliary phase of the four-arm preset.
     """
 
     u_in: np.ndarray
     u_out: np.ndarray
     unknown_modes: tuple[int, ...]
-    control_modes: tuple[int, ...]
     fixed_controls: tuple[tuple[int, float], ...] = ()
     label: str = ""
+
+    def __post_init__(self):
+        shape_in, shape_out = np.shape(self.u_in), np.shape(self.u_out)
+        if len(shape_in) != 2 or shape_in[0] != shape_in[1] or shape_in != shape_out:
+            raise ValueError(f"splitters must be square and alike: {shape_in} vs {shape_out}")
+        modes = [int(m) for m in self.unknown_modes] + [int(m) for m, _ in self.fixed_controls]
+        if len(set(modes)) != len(modes):
+            raise ValueError(f"unknown and fixed-control modes must be distinct: {modes}")
+        if any(not 0 <= m < shape_in[0] for m in modes):
+            raise ValueError(f"mode index out of range for d={shape_in[0]}: {modes}")
 
     @property
     def d(self) -> int:
@@ -127,22 +79,30 @@ class Interferometer:
     def n_params(self) -> int:
         return len(self.unknown_modes)
 
-    def config(self, phis, psis=None) -> PhaseConfig:
-        """Phase configuration for unknown values ``phis`` and tunable controls ``psis``."""
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        if phis.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} unknown phases, got {phis.shape}")
-        control = list(self.fixed_controls)
+    def control_phases(self, psis=None) -> np.ndarray:
+        """Per-mode phases [d] with the unknowns at zero: the fixed controls,
+        then the tunable controls ``psis`` on the unknown modes, each reduced
+        with ``float(v) % 2pi`` and summed per mode in that order."""
+        controls = list(self.fixed_controls)
         if psis is not None:
             psis = np.atleast_1d(np.asarray(psis, dtype=float))
-            control.extend(zip(self.control_modes, psis))
-        return PhaseConfig(
-            unknown=tuple(zip(self.unknown_modes, phis)),
-            control=tuple(control),
-        )
+            if psis.shape != (self.n_params,):
+                raise ValueError(f"expected {self.n_params} control phases, got shape {psis.shape}")
+            controls.extend(zip(self.unknown_modes, psis))
+        theta = np.zeros(self.d)
+        for mode, value in controls:
+            theta[mode] += float(value) % TWO_PI
+        return theta
 
     def unitary(self, phis, psis=None) -> np.ndarray:
-        return compose_interferometer(self.u_in, self.config(phis, psis), self.u_out)
+        """u_out . diag(exp(-i theta)) . u_in at unknown phases ``phis``."""
+        phis = np.atleast_1d(np.asarray(phis, dtype=float))
+        if phis.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} unknown phases, got shape {phis.shape}")
+        theta = self.control_phases(psis)
+        theta[list(self.unknown_modes)] += np.mod(phis, TWO_PI)
+        # Cheaper than a full matrix product with the diagonal layer.
+        return self.u_out @ (np.exp(-1j * theta)[:, None] * self.u_in)
 
 
 def three_mode_mzi() -> Interferometer:
@@ -152,7 +112,6 @@ def three_mode_mzi() -> Interferometer:
         u_in=u,
         u_out=u,
         unknown_modes=(0, 1),
-        control_modes=(0, 1),
         label="three-mode",
     )
 
@@ -165,7 +124,6 @@ def four_mode_mzi(phi0: float) -> Interferometer:
         u_in=u,
         u_out=u,
         unknown_modes=(0, 1),
-        control_modes=(0, 1),
         fixed_controls=((2, float(phi0)),),
         label="four-mode",
     )

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import pdtrc
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary
-from .optics import Interferometer, PhaseConfig
+from .optics import Interferometer
 
 PROB_SUM_TOL = 1e-10
 
@@ -103,7 +103,6 @@ class OutcomeDistribution:
     outcomes: tuple[tuple[int, ...], ...]
     probs: np.ndarray
     grads: np.ndarray
-    phases: PhaseConfig
     mass_tol: float = PROB_SUM_TOL
 
     @property
@@ -134,9 +133,7 @@ class _ProbeModel:
             raise ValueError("probe occupations do not match mode count")
         self.interf = interf
         self.probe = probe
-        self.psis = None if psis is None else np.asarray(psis, dtype=float)
-        config = interf.config(np.zeros(interf.n_params), self.psis)
-        self.theta_offset = config.mode_totals(interf.d)
+        self.theta_offset = interf.control_phases(psis)
         self.unknown_modes = np.array(interf.unknown_modes, dtype=int)
 
     @property
@@ -157,12 +154,13 @@ class _ProbeModel:
 
     def distribution(self, phis) -> OutcomeDistribution:
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
+        if phis.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} unknown phases, got shape {phis.shape}")
         probs, grads = self.prob_batch(phis[None, :])
         return OutcomeDistribution(
             outcomes=self.basis,
             probs=probs[0],
             grads=grads[0],
-            phases=self.interf.config(phis, self.psis),
             mass_tol=self.mass_tol,
         )
 

@@ -104,7 +104,7 @@ def test_log_likelihood_zero_probability():
     from mmzi.optics import Interferometer
 
     eye = np.eye(3, dtype=complex)
-    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1), control_modes=(0, 1))
+    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1))
     model = build_model(interf, Probe.fock((1, 1, 1)))
     counts = np.zeros(len(model.outcomes), dtype=int)
     dead = next(k for k, occ in enumerate(model.outcomes) if occ != (1, 1, 1))
@@ -145,7 +145,7 @@ def test_likelihood_peaks_keep_the_truth_for_exact_counts(q1_model):
     # sub-grid step grid_step / 5.
     dist = q1_model.distribution(Q1)
     counts = CountRecord(counts=1000.0 * dist.probs, total=1000.0 * dist.probs.sum())
-    peaks = _likelihood_peaks([(counts, q1_model)], grid_step=0.05, refine_tol=1e-5)
+    peaks = _likelihood_peaks([(counts, q1_model)], grid_step=0.05)
     group = [np.array(s) for s in THREE_MODE_PHASE_GROUP]
     errors = [np.max(np.abs(quotient_errors(x, Q1, group))) for x, _value in peaks]
     assert min(errors) <= 0.01 + 1e-12

@@ -35,7 +35,6 @@ def synthetic_distribution(probs, grads):
         outcomes=tuple((k,) for k in range(len(probs))),
         probs=np.asarray(probs, dtype=float),
         grads=np.asarray(grads, dtype=float),
-        phases=THREE.config([0.0, 0.0]),
     )
 
 

@@ -11,7 +11,8 @@ from mmzi.fock import (
     single_mode_sector_state,
     transition_amplitude,
 )
-from mmzi.optics import multiport_unitary
+from mmzi.optics import multiport_unitary, three_mode_mzi
+from mmzi.probes import Probe, build_model
 
 
 def naive_permanent(m):
@@ -131,3 +132,16 @@ def test_single_mode_sector_state_matches_permanents():
         expected = np.array([transition_amplitude(u, probe, occ) for occ in basis])
         assert np.allclose(state, expected, atol=1e-12)
         assert np.isclose(np.linalg.norm(state), 1.0)
+
+
+def test_cached_sector_matrices_are_read_only():
+    u = multiport_unitary(3, "tritter")
+    before = build_model(three_mode_mzi(), Probe.fock((1, 1, 1))).t_out.copy()
+    su = sector_unitary(u, 3)
+    with pytest.raises(ValueError):
+        su[0, 0] = 99
+    with pytest.raises(ValueError):
+        su[:, 1] *= 2.0
+    assert sector_unitary(u, 3) is su
+    later = build_model(three_mode_mzi(), Probe.fock((1, 1, 1)))
+    assert np.array_equal(later.t_out, before)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmzi.optics import (
+    TWO_PI,
     Interferometer,
-    PhaseConfig,
-    compose_interferometer,
     four_mode_mzi,
     multiport_unitary,
-    phase_layer,
     three_mode_mzi,
     unitarity_defect,
 )
+from mmzi.probes import Probe, build_model
+
+PROPERTY = settings(max_examples=25, deadline=None)
+phase = st.floats(-20.0, 20.0, allow_nan=False)
+phase_pair = st.tuples(phase, phase)
+presets = st.one_of(st.just(three_mode_mzi()), phase.map(four_mode_mzi))
 
 
 def test_tritter_matrix_entries():
@@ -44,64 +50,148 @@ def test_multiport_rejects_unsupported(d, kind):
 
 
 def test_phase_layer_identity_at_zero():
-    config = PhaseConfig(unknown=((0, 0.0), (1, 0.0)))
-    assert np.allclose(phase_layer(3, config), np.eye(3))
+    eye = np.eye(3, dtype=complex)
+    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1))
+    assert np.array_equal(interf.control_phases(), np.zeros(3))
+    assert np.array_equal(interf.control_phases([0.0, 0.0]), np.zeros(3))
+    assert np.allclose(interf.unitary([0.0, 0.0]), np.eye(3))
 
 
 def test_phase_layer_single_entry():
-    config = PhaseConfig(unknown=((0, np.pi),))
-    layer = phase_layer(3, config)
+    eye = np.eye(3, dtype=complex)
+    layer = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1)).unitary([np.pi, 0.0])
     assert np.isclose(layer[0, 0], np.exp(-1j * np.pi))
     assert np.isclose(layer[1, 1], 1.0)
     assert np.isclose(layer[2, 2], 1.0)
 
 
 def test_phase_layer_control_on_third_mode():
-    config = PhaseConfig(control=((2, 0.01),))
-    layer = phase_layer(4, config)
+    eye = np.eye(4, dtype=complex)
+    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1),
+                            fixed_controls=((2, 0.01),))
+    layer = interf.unitary([0.0, 0.0])
     assert np.isclose(layer[2, 2], np.exp(-1j * 0.01))
     assert np.isclose(layer[3, 3], 1.0)
 
 
 def test_phase_layer_duplicate_index_rejected():
+    eye = np.eye(3, dtype=complex)
+    for kwargs in [
+        {"unknown_modes": (0, 0)},
+        {"unknown_modes": (0, 1), "fixed_controls": ((1, 0.2),)},  # a control on an unknown mode
+        {"unknown_modes": (0, 1), "fixed_controls": ((2, 0.1), (2, 0.2))},
+        {"unknown_modes": (0, 3)},  # out of range
+        {"unknown_modes": (0, 1), "fixed_controls": ((-1, 0.1),)},
+    ]:
+        with pytest.raises(ValueError):
+            Interferometer(u_in=eye, u_out=eye, **kwargs)
+
+
+@PROPERTY
+@given(presets, phase_pair)
+def test_phase_values_reduced_mod_2pi(interf, psis):
+    theta = interf.control_phases(psis)
+    # float % 2pi rounds a tiny negative value up to 2pi itself
+    assert np.all((theta >= 0.0) & (theta <= TWO_PI))
+    expected = np.zeros(interf.d)
+    for mode, value in interf.fixed_controls:
+        expected[mode] = value
+    expected[list(interf.unknown_modes)] = psis
+    assert np.allclose(np.exp(-1j * theta), np.exp(-1j * expected), atol=1e-12)
+    theta = four_mode_mzi(0.05).control_phases([2 * np.pi + 0.5, -0.25])
+    assert np.allclose(theta, [0.5, 2 * np.pi - 0.25, 0.05, 0.0])
+
+
+@pytest.mark.parametrize("psis", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_control_phases_of_the_wrong_length_are_rejected(psis):
+    interf = three_mode_mzi()
     with pytest.raises(ValueError):
-        PhaseConfig(unknown=((0, 0.1), (0, 0.2)))
-
-
-def test_phase_values_reduced_mod_2pi():
-    config = PhaseConfig(unknown=((0, 2 * np.pi + 0.5), (1, -0.25)))
-    values = dict(config.unknown)
-    assert np.isclose(values[0], 0.5)
-    assert np.isclose(values[1], 2 * np.pi - 0.25)
+        interf.control_phases(psis)
+    with pytest.raises(ValueError):
+        build_model(interf, Probe.fock((1, 1, 1)), psis=psis)
+    with pytest.raises(ValueError):
+        interf.unitary([0.3, 0.4], psis=psis)
 
 
 def test_compose_identity():
-    config = PhaseConfig(unknown=((0, 0.0), (1, 0.0)))
     eye = np.eye(3, dtype=complex)
-    assert np.allclose(compose_interferometer(eye, config, eye), np.eye(3))
-
-
-def test_compose_matches_product():
+    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1))
+    assert np.allclose(interf.unitary([0.0, 0.0], psis=[0.0, 0.0]), np.eye(3))
     u = multiport_unitary(3, "tritter")
-    config = PhaseConfig(unknown=((0, 0.0), (1, 0.0)))
-    assert np.allclose(compose_interferometer(u, config, u), u @ u)
-    config = PhaseConfig(unknown=((0, 0.892), (1, 2.190)))
-    expected = u @ phase_layer(3, config) @ u
-    assert np.allclose(compose_interferometer(u, config, u), expected)
+    assert np.allclose(three_mode_mzi().unitary([0.0, 0.0]), u @ u)
+
+
+@PROPERTY
+@given(presets, phase_pair, st.one_of(st.none(), phase_pair))
+def test_compose_matches_product(interf, phis, psis):
+    theta = interf.control_phases(psis)
+    theta[list(interf.unknown_modes)] += phis
+    expected = interf.u_out @ np.diag(np.exp(-1j * theta)) @ interf.u_in
+    assert np.allclose(interf.unitary(phis, psis), expected, atol=1e-12)
 
 
 def test_compose_dimension_mismatch():
+    for u_in, u_out in [(np.eye(3), np.eye(4)), (np.ones((3, 4)), np.ones((3, 4))),
+                        (np.ones(3), np.ones(3))]:
+        with pytest.raises(ValueError):
+            Interferometer(u_in=u_in, u_out=u_out, unknown_modes=(0, 1))
     with pytest.raises(ValueError):
-        compose_interferometer(np.eye(3), PhaseConfig(), np.eye(4))
+        three_mode_mzi().unitary([0.3])
 
 
-def test_composed_unitarity():
-    rng = np.random.default_rng(3)
-    u = multiport_unitary(4, "quarter")
-    for _ in range(20):
-        phis = rng.uniform(0, 2 * np.pi, 2)
-        config = PhaseConfig(unknown=((0, phis[0]), (1, phis[1])), control=((2, 0.01),))
-        assert unitarity_defect(compose_interferometer(u, config, u)) < 1e-12
+@PROPERTY
+@given(presets, phase_pair, st.one_of(st.none(), phase_pair))
+def test_composed_unitarity(interf, phis, psis):
+    assert unitarity_defect(interf.unitary(phis, psis)) < 1e-12
+
+
+@PROPERTY
+@given(presets, phase_pair, phase_pair, phase, st.integers(0, 1))
+def test_control_and_unknown_shift_cancel(interf, phis, psis, x, j):
+    # shifting psi_j and phi_j on the same mode by (+x, -x) leaves the circuit alone
+    shift = np.zeros(2)
+    shift[j] = x
+    base = interf.unitary(phis, psis)
+    shifted = interf.unitary(np.add(phis, -shift), np.add(psis, shift))
+    assert np.allclose(base, shifted, atol=1e-11)
+
+
+@PROPERTY
+@given(phase, phase_pair, phase_pair)
+def test_disjoint_phase_layers_commute(phi0, phis, psis):
+    # with identity splitters the circuit is the phase layer itself: the
+    # unknown, control and fixed layers multiply in any order
+    eye = np.eye(4, dtype=complex)
+    bare = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1))
+    fixed = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1),
+                           fixed_controls=((2, phi0),))
+    a, b = bare.unitary(phis), fixed.unitary([0.0, 0.0], psis)
+    assert np.allclose(a @ b, b @ a, atol=1e-12)
+    assert np.allclose(a @ b, fixed.unitary(phis, psis), atol=1e-12)
+
+
+def _phase_config_offset(interf, psis):
+    """The models' per-mode phase offset as the former ``PhaseConfig`` built
+    it: unknowns at zero, then the fixed controls, then ``psis`` on the
+    control modes, each value reduced with ``float(v) % 2pi`` and summed
+    per mode in that order."""
+    unknown = [(int(m), float(0.0) % TWO_PI) for m in interf.unknown_modes]
+    control = list(interf.fixed_controls)
+    if psis is not None:
+        control.extend(zip(interf.unknown_modes, np.atleast_1d(np.asarray(psis, dtype=float))))
+    control = [(int(m), float(v) % TWO_PI) for m, v in control]
+    theta = np.zeros(interf.d)
+    for mode, value in unknown + control:
+        theta[mode] += value
+    return theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(presets, st.one_of(st.none(), phase_pair))
+def test_theta_offset_matches_the_phase_config_formula_bit_for_bit(interf, psis):
+    probe = Probe.distinguishable((1,) * interf.d)
+    model = build_model(interf, probe, psis=None if psis is None else np.array(psis))
+    assert model.theta_offset.tobytes() == _phase_config_offset(interf, psis).tobytes()
 
 
 def test_unitarity_defect_values():
@@ -110,25 +200,6 @@ def test_unitarity_defect_values():
     perturbed = multiport_unitary(3, "tritter")
     perturbed[0, 0] += 1e-3
     assert unitarity_defect(perturbed) >= 1e-4
-
-
-def test_control_and_unknown_shift_cancel():
-    # shifting psi_j and phi_j on the same mode by (+x, -x) leaves the circuit alone
-    u = multiport_unitary(3, "tritter")
-    x = 0.731
-    base = PhaseConfig(unknown=((0, 1.1), (1, 0.4)), control=((0, 0.2), (1, 0.9)))
-    shifted = PhaseConfig(
-        unknown=((0, 1.1 + x), (1, 0.4)), control=((0, 0.2 - x), (1, 0.9))
-    )
-    assert np.allclose(
-        compose_interferometer(u, base, u), compose_interferometer(u, shifted, u)
-    )
-
-
-def test_disjoint_phase_layers_commute():
-    a = phase_layer(4, PhaseConfig(unknown=((0, 0.7),)))
-    b = phase_layer(4, PhaseConfig(unknown=((2, 1.3),)))
-    assert np.allclose(a @ b, b @ a)
 
 
 def test_interferometer_presets():
@@ -145,9 +216,7 @@ def test_interferometer_presets():
 
 def test_interferometer_config_counts_controls():
     m4 = four_mode_mzi(0.05)
-    config = m4.config([0.3, 0.4], psis=[0.1, 0.2])
-    totals = config.mode_totals(4)
-    assert np.isclose(totals[0], 0.4)
-    assert np.isclose(totals[1], 0.6)
-    assert np.isclose(totals[2], 0.05)
-    assert totals[3] == 0.0
+    assert np.array_equal(m4.control_phases([0.1, 0.2]), [0.1, 0.2, 0.05, 0.0])
+    u = multiport_unitary(4, "quarter")
+    expected = u @ np.diag(np.exp(-1j * np.array([0.4, 0.6, 0.05, 0.0]))) @ u
+    assert np.allclose(m4.unitary([0.3, 0.4], psis=[0.1, 0.2]), expected)

@@ -111,8 +111,7 @@ def test_distinguishable_matches_labeled_enumeration():
     """Brute-force oracle: every photon is labeled and assigned a mode."""
     model = build_model(THREE, Probe.distinguishable((1, 1, 1)), psis=None)
     phis = np.array([0.83, 2.11])
-    config = THREE.config(phis)
-    u = THREE.u_out @ np.diag(np.exp(-1j * config.mode_totals(3))) @ THREE.u_in
+    u = THREE.unitary(phis)
     single = np.abs(u) ** 2  # single[i, q]: photon entering q exits i
     expected = {}
     for assignment in itertools.product(range(3), repeat=3):
@@ -126,9 +125,7 @@ def test_distinguishable_matches_labeled_enumeration():
 
 def test_coherent_identity_circuit_is_poisson():
     eye = np.eye(3, dtype=complex)
-    interf = Interferometer(
-        u_in=eye, u_out=eye, unknown_modes=(0, 1), control_modes=(0, 1)
-    )
+    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1))
     model = CoherentProbeModel(interf, Probe.coherent(np.sqrt(3.0), input_mode=0))
     dist = model.distribution([0.0, 0.0])
     for occ, p in zip(dist.outcomes, dist.probs):
@@ -169,3 +166,10 @@ def test_fock_outcomes_equal_sector_basis():
     model = build_model(FOUR, Probe.fock((1, 1, 1, 1)))
     assert len(model.outcomes) == 35
     assert all(sum(occ) == 4 for occ in model.outcomes)
+
+
+@pytest.mark.parametrize("phis", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_distribution_rejects_the_wrong_phase_count(phis):
+    model = build_model(THREE, Probe.fock((1, 1, 1)))
+    with pytest.raises(ValueError):
+        model.distribution(phis)

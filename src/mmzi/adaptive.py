@@ -26,7 +26,7 @@ seeds derived from the master seed by numpy's SeedSequence.generate_state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -69,6 +69,18 @@ FOUR_MODE_PHASE_GROUP = ((0.0, 0.0), (np.pi, np.pi))
 # Expected estimator std in units of 1/sqrt(nu) for the default protocols.
 THREE_MODE_BOUND_COEFF = 0.543
 FOUR_MODE_BOUND_COEFF = 0.437
+
+# Search settings of the estimator; run records write the first four.
+ROUGH_GRID_STEP = 0.05  # torus grid spacing of the rough-step peak search
+GRID_STEP = 0.02  # largest window spacing of a working-point step
+REFINE_TOL = 1e-5  # simplex xatol of every likelihood polish
+MAX_RETRIES = 3  # rough-step re-draws when its information is singular
+PEAK_KEEP = 24  # rough peaks kept as hypotheses, at most
+PEAK_MARGIN = 25.0  # nats behind the best rough peak before dropping
+PEAK_DEDUP_RADIUS = 0.15  # rough peaks closer than this (max norm) merge
+CURVATURE_STEP = 1e-4  # finite-difference step of the curvature width
+REFIT_MARGIN = 40.0  # nats behind the best joint-refit seed before skipping
+PRUNE_MARGIN = 60.0  # nats behind the leading hypothesis before dropping
 
 
 def wrap_angle(x):
@@ -142,24 +154,30 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
     """log prior + sum_k n_k log p(k|phases); -inf when an observed outcome
     has zero probability."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    probs, _ = model.prob_batch(np.mod(phases, TWO_PI)[None, :], grads=False)
     value = prior.log_density(phases) if prior is not None else 0.0
-    p = probs[0, counts.observed]
-    if np.any(p <= 0.0):
-        return -np.inf
-    return value + float(np.dot(counts.observed_counts, np.log(p)))
+    return value + float(_joint_loglik_batch([(counts, model)], phases[None, :])[0])
 
 
 def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     """Summed flat-prior data log-likelihood of (counts, model) batches
-    at points [n_pts, n_params]."""
+    at points [n_pts, n_params]; -inf where an observed outcome has zero
+    probability."""
     points = np.mod(points, TWO_PI)
     total = np.zeros(len(points))
     for counts, model in batches:
         p = model.prob_batch(points, grads=False)[0][:, counts.observed]
-        total += np.log(np.maximum(p, 1e-300, out=p)) @ counts.observed_counts
+        with np.errstate(divide="ignore"):
+            total += np.log(p, out=p) @ counts.observed_counts
         del p  # not held while the next model evaluates: that would lift the peak memory
     return total
+
+
+def _width(info):
+    """sqrt(diag(info^-1)), or None when ``info`` is singular."""
+    inv = invert_fisher(info, cond_threshold=1e12, det_threshold=1e-30)
+    if inv.singular:
+        return None
+    return np.sqrt(np.clip(np.diag(inv.inverse), 1e-18, None))
 
 
 def _joint_sigma(batches, estimate):
@@ -172,15 +190,13 @@ def _joint_sigma(batches, estimate):
             info += counts.total * fisher_matrix(model.distribution(x)).matrix
         except SingularSupportError:
             continue
-    inv = invert_fisher(info, cond_threshold=1e12, det_threshold=1e-30)
-    if inv.singular:
-        return None
-    return np.sqrt(np.clip(np.diag(inv.inverse), 1e-18, None))
+    return _width(info)
 
 
-def _sigma_from_curvature(counts: CountRecord, prior, model, estimate, h=1e-4):
+def _sigma_from_curvature(counts: CountRecord, prior, model, estimate):
     """Fallback width from a finite-difference Hessian of the log posterior."""
     n = len(estimate)
+    h = CURVATURE_STEP
     hessian = np.empty((n, n))
 
     def f(x):
@@ -203,35 +219,43 @@ def _sigma_from_curvature(counts: CountRecord, prior, model, estimate, h=1e-4):
     return np.sqrt(diag)
 
 
-def _refine(counts, prior, model, x0, refine_tol):
+def _polish(objective, x0):
+    """Nelder-Mead minimum of ``objective`` from ``x0``: (x, -objective(x))."""
     result = minimize(
-        lambda x: -log_likelihood(counts, prior, x, model),
-        np.asarray(x0, dtype=float),
+        objective,
+        x0,
         method="Nelder-Mead",
-        options={"xatol": refine_tol, "fatol": 1e-10, "maxiter": 400},
+        options={"xatol": REFINE_TOL, "fatol": 1e-10, "maxiter": 400},
     )
     return result.x, -result.fun
 
 
-def _window(mean, sigma, step):
-    """Grid over mean +/- 5 sigma at spacing ``step`` (scalar or one per
-    axis): its points and its shape."""
+def _window_peaks(batches, mean, sigma, step, top=1):
+    """(point, value) of the ``top`` highest local maxima of the joint
+    likelihood of ``batches`` on the grid mean +/- 5 sigma at spacing
+    ``step`` (scalar or one per axis); ``top=1`` is the grid maximum."""
     steps = np.broadcast_to(step, np.shape(sigma))
     axes = [np.arange(-5.0 * s, 5.0 * s + d / 2, d) for s, d in zip(sigma, steps)]
-    return _mesh(axes) + mean, [len(a) for a in axes]
+    points = _mesh(axes) + mean
+    values = _joint_loglik_batch(batches, points)
+    if top == 1:
+        best = [int(np.argmax(values))]
+    else:
+        flat = np.flatnonzero(_local_maxima(values.reshape([len(a) for a in axes])))
+        best = flat[np.argsort(values[flat])[::-1][:top]]
+    return [(points[j], float(values[j])) for j in best]
 
 
-def _likelihood_peaks(batches, grid_step: float, keep: int = 24, margin: float = 25.0,
-                      dedup_radius: float = 0.15):
+def _likelihood_peaks(batches, grid_step: float):
     """Local maxima of the joint flat-prior likelihood of one or more
     (counts, model) batches over the torus, sharpened on a batched
-    sub-grid, sorted by likelihood; peaks more than ``margin`` nats below
-    the best are dropped.
+    sub-grid, sorted by likelihood; peaks more than ``PEAK_MARGIN`` nats
+    below the best are dropped.
 
     At a single control setting the likelihood carries many near-tied
     peaks (the exact shift group of the splitters plus reflection-type
     images that only a change of controls can discriminate), so a generous
-    ``keep`` matters: every surviving peak is a candidate hypothesis for
+    ``PEAK_KEEP`` matters: every surviving peak is a candidate hypothesis for
     the next step.  Sub-grid accuracy suffices here; the working-point
     refits supply the precision.
     """
@@ -245,10 +269,10 @@ def _likelihood_peaks(batches, grid_step: float, keep: int = 24, margin: float =
     coarse = []
     for idx in order:
         x0 = points[idx]
-        if any(np.max(np.abs(wrap_angle(x0 - c))) < dedup_radius for c in coarse):
+        if any(np.max(np.abs(wrap_angle(x0 - c))) < PEAK_DEDUP_RADIUS for c in coarse):
             continue
         coarse.append(x0)
-        if len(coarse) >= keep:
+        if len(coarse) >= PEAK_KEEP:
             break
     # one batched sub-grid pass sharpens every peak position
     local = _mesh([np.arange(-2, 3) * (grid_step / 5.0)] * n_params)
@@ -260,7 +284,7 @@ def _likelihood_peaks(batches, grid_step: float, keep: int = 24, margin: float =
         peaks.append((np.mod(coarse[k] + local[j], TWO_PI), float(sub_values[k, j])))
     peaks.sort(key=lambda t: -t[1])
     best_value = peaks[0][1]
-    return [(x, v) for x, v in peaks if v >= best_value - margin]
+    return [(x, v) for x, v in peaks if v >= best_value - PEAK_MARGIN]
 
 
 @dataclass(frozen=True)
@@ -296,10 +320,6 @@ class ProtocolConfig:
     fractions: tuple[float, ...] = ()
     phi0: float = 0.01
     bound_coeff: float | None = None
-    rough_grid_step: float = 0.05
-    grid_step: float = 0.02
-    refine_tol: float = 1e-5
-    max_retries: int = 3
 
     def __post_init__(self):
         if self.modes not in (3, 4):
@@ -312,9 +332,10 @@ class ProtocolConfig:
             raise ValueError(f"{self.modes}-mode protocol needs {expected} fractions")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
-        if self.bound_coeff is None:
+        coeff = self.bound_coeff
+        if coeff is None:
             coeff = THREE_MODE_BOUND_COEFF if self.modes == 3 else FOUR_MODE_BOUND_COEFF
-            object.__setattr__(self, "bound_coeff", coeff)
+        object.__setattr__(self, "bound_coeff", float(coeff))
 
     def interferometer(self) -> Interferometer:
         if self.modes == 3:
@@ -340,17 +361,12 @@ class ProtocolConfig:
         return [np.array(s) for s in group]
 
     def to_dict(self) -> dict:
-        return {
-            "modes": self.modes,
-            "true_phases": list(self.true_phases),
-            "nu": self.nu,
-            "fractions": list(self.fractions),
-            "phi0": self.phi0,
-            "bound_coeff": self.bound_coeff,
-            "rough_grid_step": self.rough_grid_step,
-            "grid_step": self.grid_step,
-            "refine_tol": self.refine_tol,
-            "max_retries": self.max_retries,
+        """The fields plus the estimator's search settings."""
+        return asdict(self) | {
+            "rough_grid_step": ROUGH_GRID_STEP,
+            "grid_step": GRID_STEP,
+            "refine_tol": REFINE_TOL,
+            "max_retries": MAX_RETRIES,
         }
 
 
@@ -372,9 +388,6 @@ class _Hypothesis:
     mean: np.ndarray
     sigma: np.ndarray
     score: float
-
-
-PRUNE_MARGIN = 60.0  # nats behind the leading hypothesis before dropping
 
 
 def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
@@ -414,18 +427,18 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
     retries = 0
     while True:
         batch_a = (sample_outcomes(model_a.distribution(true), nu_a, rng), model_a)
-        crude = _likelihood_peaks([batch_a], config.rough_grid_step)[0][0]
+        crude = _likelihood_peaks([batch_a], ROUGH_GRID_STEP)[0][0]
         psis_b = wrap_angle(targets[0] - crude)
         model_b = build_model(interf, probe, psis=psis_b)
         batch_b = (sample_outcomes(model_b.distribution(true), nu_b, rng), model_b)
         rough_batches = [batch_a, batch_b]
-        peaks = _likelihood_peaks(rough_batches, config.rough_grid_step)
+        peaks = _likelihood_peaks(rough_batches, ROUGH_GRID_STEP)
         rough = peaks[0][0]
         sigma = _joint_sigma(rough_batches, rough)
         if sigma is not None:
             break
         retries += 1
-        if retries > config.max_retries or max(remaining) <= nu_rough:
+        if retries > MAX_RETRIES or max(remaining) <= nu_rough:
             sigma = _sigma_from_curvature(
                 rough_batches[0][0], None, model_a, rough
             )
@@ -470,27 +483,25 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
 
         # one batched pass scores all hypothesis windows; only windows whose
         # grid peak is competitive earn a simplex polish and a FIM call
-        window_peaks = []
-        for hyp in hypotheses:
-            step = min(config.grid_step, float(np.min(hyp.sigma)) / 2.0)
-            pts, _shape = _window(hyp.mean, hyp.sigma, step)
-            values = _joint_loglik_batch([(counts, model)], pts)
-            j = int(np.argmax(values))
-            window_peaks.append((float(values[j]), pts[j]))
-        lead = max(v for v, _ in window_peaks)
-        for hyp, (grid_value, x0) in zip(hypotheses, window_peaks):
+        window_peaks = [
+            _window_peaks([(counts, model)], hyp.mean, hyp.sigma,
+                          min(GRID_STEP, float(np.min(hyp.sigma)) / 2.0))[0]
+            for hyp in hypotheses
+        ]
+        lead = max(v for _, v in window_peaks)
+        for hyp, (x0, grid_value) in zip(hypotheses, window_peaks):
             prior = GaussianPrior(hyp.mean, hyp.sigma)
             if grid_value < lead - PRUNE_MARGIN:
                 hyp.mean = np.mod(x0, TWO_PI)
                 hyp.score += grid_value + prior.log_density(x0)
                 continue
-            x, value = _refine(counts, prior, model, x0, config.refine_tol)
-            precision = np.diag(1.0 / hyp.sigma**2)
+            x, value = _polish(lambda x: -log_likelihood(counts, prior, x, model), x0)
             try:
                 fim = fisher_matrix(model.distribution(np.mod(x, TWO_PI))).matrix
-                cov = np.linalg.inv(precision + nu_step * fim)
-                sigma_post = np.sqrt(np.clip(np.diag(cov), 1e-18, None))
+                sigma_post = _width(np.diag(1.0 / hyp.sigma**2) + nu_step * fim)
             except SingularSupportError:
+                sigma_post = None
+            if sigma_post is None:
                 sigma_post = hyp.sigma / np.sqrt(1.0 + nu_step / counts.total)
             hyp.mean = np.mod(x, TWO_PI)
             hyp.sigma = sigma_post
@@ -510,8 +521,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         )
 
     final_estimate, final_sigma = _joint_refit(
-        collected, hypotheses, anchors, rough_centers, config.phase_group(),
-        config.refine_tol,
+        collected, hypotheses, anchors, rough_centers, config.phase_group()
     )
     return ProtocolTrace(
         steps=tuple(steps),
@@ -529,7 +539,7 @@ def _near_images(x, estimate, sigma, group):
                for shift in group)
 
 
-def _joint_refit(collected, hypotheses, anchors, rough_centers, group, refine_tol):
+def _joint_refit(collected, hypotheses, anchors, rough_centers, group):
     """Maximize the joint likelihood of every step's counts.
 
     Each surviving hypothesis seeds a local grid; so does its reflection
@@ -546,40 +556,28 @@ def _joint_refit(collected, hypotheses, anchors, rough_centers, group, refine_to
     working-point window reaches the a <-> b mirror image every hypothesis
     and every reflected seed sits in the mirror basin.  Each rough-step
     hypothesis (``rough_centers``: mean, width) therefore also gets a
-    window on the joint likelihood.  A window whose grid peak is within 40
-    nats of the winner and more than 5 final widths from the winner and
-    its ``group`` images is polished; the result replaces the winner only
-    in another basin and with a strictly higher joint likelihood.
+    window on the joint likelihood.  A window whose grid peak is within
+    ``REFIT_MARGIN`` nats of the winner and more than 5 final widths from
+    the winner and its ``group`` images is polished; the result replaces
+    the winner only in another basin and with a strictly higher joint
+    likelihood.
     """
     n = len(hypotheses[0].mean)
 
-    def polish(x0):
-        result = minimize(
-            lambda x: -_joint_loglik_batch(collected, x[None, :])[0],
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": refine_tol, "fatol": 1e-10, "maxiter": 400},
-        )
-        return result.x, -result.fun
+    def objective(x):
+        return -_joint_loglik_batch(collected, x[None, :])[0]
 
-    centers = []
-    for hyp in hypotheses:
-        centers.append((hyp.mean, hyp.sigma))
-        for anchor in anchors:
-            centers.append((2.0 * anchor - hyp.mean, hyp.sigma))
     seeds = []
-    for mean, sigma in centers:
-        points, shape = _window(mean, sigma, np.maximum(sigma / 2.0, 1e-6))
-        values = _joint_loglik_batch(collected, points)
-        flat = np.flatnonzero(_local_maxima(values.reshape(shape)))
-        top = flat[np.argsort(values[flat])[::-1][:3]]
-        seeds.extend((points[idx], values[idx]) for idx in top)
+    for hyp in hypotheses:
+        step = np.maximum(hyp.sigma / 2.0, 1e-6)
+        for mean in [hyp.mean] + [2.0 * anchor - hyp.mean for anchor in anchors]:
+            seeds.extend(_window_peaks(collected, mean, hyp.sigma, step, top=3))
     seeds.sort(key=lambda t: -t[1])
     best_x, best_value = None, -np.inf
     for x0, value in seeds[:8]:
-        if value < seeds[0][1] - 40.0:
+        if value < seeds[0][1] - REFIT_MARGIN:
             break
-        x, value = polish(x0)
+        x, value = _polish(objective, x0)
         if value > best_value:
             best_value, best_x = value, x
     estimate = np.mod(best_x, TWO_PI)
@@ -587,12 +585,10 @@ def _joint_refit(collected, hypotheses, anchors, rough_centers, group, refine_to
     for mean, width in rough_centers:
         if sigma is None:
             break
-        points, _shape = _window(mean, width, np.maximum(width / 2.0, 1e-6))
-        values = _joint_loglik_batch(collected, points)
-        j = int(np.argmax(values))
-        if values[j] < best_value - 40.0 or _near_images(points[j], estimate, sigma, group):
+        [(x0, value)] = _window_peaks(collected, mean, width, np.maximum(width / 2.0, 1e-6))
+        if value < best_value - REFIT_MARGIN or _near_images(x0, estimate, sigma, group):
             continue
-        x, value = polish(points[j])
+        x, value = _polish(objective, x0)
         if value > best_value and not _near_images(x, estimate, sigma, group):
             best_value, estimate = value, np.mod(x, TWO_PI)
             sigma = _joint_sigma(collected, estimate)
@@ -636,14 +632,12 @@ class MonteCarloStats:
     master_seed: object = None
 
 
-def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed,
-                out_path=None) -> MonteCarloStats:
+def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed) -> MonteCarloStats:
     """Repeat the protocol with derived per-repetition seeds and summarize.
 
     Statistics are computed on the identifiable quotient: each estimate is
     mapped to its phase-group image nearest the true phases and the wrapped
-    deviations give bias (vs truth) and std.  Writes a JSON run-record when
-    ``out_path`` is given.
+    deviations give bias (vs truth) and std.
     """
     if repetitions < 2:
         raise ValueError("need repetitions >= 2")
@@ -658,7 +652,7 @@ def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed,
     bias = errors.mean(axis=0)
     std = errors.std(axis=0, ddof=1)
     bound = config.bound_coeff / np.sqrt(config.nu) * np.ones_like(std)
-    stats = MonteCarloStats(
+    return MonteCarloStats(
         repetitions=repetitions,
         std=std,
         bias=bias,
@@ -669,9 +663,6 @@ def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed,
         config=config,
         master_seed=master_seed,
     )
-    if out_path is not None:
-        write_run_record(stats, out_path)
-    return stats
 
 
 def run_record_dict(stats: MonteCarloStats) -> dict:
@@ -695,7 +686,8 @@ def run_record_dict(stats: MonteCarloStats) -> dict:
     }
 
 
-def write_run_record(stats: MonteCarloStats, path) -> None:
+def write_run_record(record: dict, path) -> None:
+    """Write a run record (``run_record_dict`` plus any extra entries)."""
     with open(path, "w") as handle:
-        json.dump(run_record_dict(stats), handle, indent=2, sort_keys=True)
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")

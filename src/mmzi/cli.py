@@ -16,44 +16,13 @@ import sys
 
 import numpy as np
 
-from .adaptive import MonteCarloStats, ProtocolConfig, monte_carlo, run_record_dict
+from .adaptive import ProtocolConfig, monte_carlo, run_record_dict, write_run_record
 from .fisher import invert_fisher, mmzi_separable_spec, qfim_for_probe, separable_bounds
 from .landscape import export_grid, find_working_points, scan_grid
 from .optics import four_mode_mzi, three_mode_mzi
 from .probes import Probe
 
 OUTPUT_SCHEMA_VERSION = 1
-
-DEFAULT_CONFIG = {
-    "circuit": {
-        "modes": 3,
-        "probe": "fock",
-        "alpha": None,
-        "phi0": 0.01,
-    },
-    "scan": {
-        "resolution": 256,
-        "out": None,
-        "format": "csv",
-    },
-    "adaptive": {
-        "true_phases": [1.0, 2.0],
-        "nu": 10000,
-        "fractions": None,
-        "repetitions": 200,
-        "seed": None,
-        "out": "mmzi_adaptive.json",
-        "bound_coeff": None,
-    },
-    "workpoints": {
-        "resolution": 256,
-        "refine_tol": 1e-5,
-    },
-    "tolerances": {
-        "refine_tol": 1e-5,
-    },
-}
-
 
 def _number(v) -> bool:
     return type(v) is int or (type(v) is float and math.isfinite(v))
@@ -76,37 +45,51 @@ def _numbers(count=None):
                       and count in (None, len(v)))
 
 
-# Valid values of every config key: (check, what the error message asks for).
-CONFIG_CHECKS = {
+# Every config key: (default, check of a valid value, what the error
+# message asks for).
+CONFIG_SCHEMA = {
     "circuit": {
-        "modes": (lambda v: type(v) is int and v in (3, 4), "3 or 4"),
-        "probe": (lambda v: v in ("fock", "distinguishable", "coherent"),
+        "modes": (3, lambda v: type(v) is int and v in (3, 4), "3 or 4"),
+        "probe": ("fock", lambda v: v in ("fock", "distinguishable", "coherent"),
                   "fock, distinguishable or coherent"),
-        "alpha": (_or_null(_positive), "a positive number or null"),
-        "phi0": (_or_null(_number), "a number or null"),
+        "alpha": (None, _or_null(_positive), "a positive number or null"),
+        "phi0": (0.01, _or_null(_number), "a number or null"),
     },
     "scan": {
-        "resolution": (_whole(64), "an integer >= 64"),
-        "out": (_or_null(lambda v: isinstance(v, str)), "a path or null"),
-        "format": (lambda v: v in ("csv", "json"), "csv or json"),
+        "resolution": (256, _whole(64), "an integer >= 64"),
+        "out": (None, _or_null(lambda v: isinstance(v, str)), "a path or null"),
+        "format": ("csv", lambda v: v in ("csv", "json"), "csv or json"),
     },
     "adaptive": {
-        "true_phases": (_numbers(2), "a list of two numbers"),
-        "nu": (_whole(1), "an integer >= 1"),
-        "fractions": (_or_null(_numbers()), "a list of numbers or null"),
-        "repetitions": (_whole(2), "an integer >= 2 (statistics need two runs)"),
-        "seed": (_or_null(lambda v: type(v) is int and v >= 0),
+        "true_phases": ([1.0, 2.0], _numbers(2), "a list of two numbers"),
+        "nu": (10000, _whole(1), "an integer >= 1"),
+        "fractions": (None, _or_null(_numbers()), "a list of numbers or null"),
+        "repetitions": (200, _whole(2), "an integer >= 2 (statistics need two runs)"),
+        "seed": (None, _or_null(lambda v: type(v) is int and v >= 0),
                  "a non-negative integer or null"),
-        "out": (lambda v: isinstance(v, str), "a path"),
-        "bound_coeff": (_or_null(_positive), "a positive number or null"),
+        "out": ("mmzi_adaptive.json", lambda v: isinstance(v, str), "a path"),
+        "bound_coeff": (None, _or_null(_positive), "a positive number or null"),
     },
     "workpoints": {
-        "resolution": (_whole(64), "an integer >= 64"),
-        "refine_tol": (_positive, "a positive number"),
+        "resolution": (256, _whole(64), "an integer >= 64"),
+        "refine_tol": (1e-5, _positive, "a positive number"),
     },
     "tolerances": {
-        "refine_tol": (_positive, "a positive number"),
+        "refine_tol": (1e-5, _positive, "a positive number"),
     },
+}
+
+DEFAULT_CONFIG = {section: {key: spec[0] for key, spec in keys.items()}
+                  for section, keys in CONFIG_SCHEMA.items()}
+
+# Command-line flags and the config keys each one sets.
+FLAG_KEYS = {
+    "resolution": (("scan", "resolution"), ("workpoints", "resolution")),
+    "phi0": (("circuit", "phi0"),),
+    "nu": (("adaptive", "nu"),),
+    "reps": (("adaptive", "repetitions"),),
+    "seed": (("adaptive", "seed"),),
+    "out": (("scan", "out"), ("adaptive", "out")),
 }
 
 
@@ -142,28 +125,19 @@ def load_config(path: str | None) -> dict:
 
 
 def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
-    if args.resolution is not None:
-        config["scan"]["resolution"] = args.resolution
-        config["workpoints"]["resolution"] = args.resolution
-    if args.phi0 is not None:
-        config["circuit"]["phi0"] = args.phi0
-    if args.nu is not None:
-        config["adaptive"]["nu"] = args.nu
-    if args.reps is not None:
-        config["adaptive"]["repetitions"] = args.reps
-    if args.seed is not None:
-        config["adaptive"]["seed"] = args.seed
-    if args.out is not None:
-        config["scan"]["out"] = args.out
-        config["adaptive"]["out"] = args.out
+    for flag, keys in FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            for section, key in keys:
+                config[section][key] = value
     return config
 
 
 def _check_config(config: dict) -> None:
     """Raise ConfigError for a value of the wrong type or range, so a bad
     config fails before any work starts."""
-    for section, checks in CONFIG_CHECKS.items():
-        for key, (valid, expected) in checks.items():
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (_default, valid, expected) in keys.items():
             value = config[section][key]
             if not valid(value):
                 raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
@@ -239,39 +213,21 @@ def cmd_adaptive(config: dict) -> int:
         print("adaptive: a master seed is required (set adaptive.seed or --seed)",
               file=sys.stderr)
         return 1
-    reps = int(adaptive_cfg["repetitions"])
-    modes = config["circuit"]["modes"]
-    phi0 = float(config["circuit"]["phi0"] or 0.0)
-    if modes == 4 and phi0 <= 0:
-        print(
-            "adaptive: four-mode protocol requires phi0 > 0 "
-            "(at phi0 = 0 the information matrix is singular at the working "
-            "point and the second step cannot converge)",
-            file=sys.stderr,
-        )
-        return 1
-    kwargs = {}
-    if adaptive_cfg["fractions"]:
-        kwargs["fractions"] = tuple(adaptive_cfg["fractions"])
-    if adaptive_cfg["bound_coeff"]:
-        kwargs["bound_coeff"] = float(adaptive_cfg["bound_coeff"])
     try:
         protocol = ProtocolConfig(
-            modes=modes,
+            modes=config["circuit"]["modes"],
             true_phases=tuple(adaptive_cfg["true_phases"]),
             nu=int(adaptive_cfg["nu"]),
-            phi0=phi0,
-            **kwargs,
+            fractions=tuple(adaptive_cfg["fractions"] or ()),
+            phi0=float(config["circuit"]["phi0"] or 0.0),
+            bound_coeff=adaptive_cfg["bound_coeff"],
         )
-    except ValueError as exc:  # fractions that do not fit the protocol
+        protocol.interferometer()
+    except ValueError as exc:  # fractions that do not fit, a four-mode phi0 <= 0
         raise ConfigError(str(exc)) from exc
-    stats = monte_carlo(protocol, reps, adaptive_cfg["seed"])
-    record = run_record_dict(stats)
-    record["config_cli"] = config
+    stats = monte_carlo(protocol, int(adaptive_cfg["repetitions"]), adaptive_cfg["seed"])
     out = adaptive_cfg["out"]
-    with open(out, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_run_record(run_record_dict(stats) | {"config_cli": config}, out)
     print(f"run record written to {out}")
     print(f"{'parameter':>10s} {'std*sqrt(nu)':>14s} {'bound':>8s} {'ratio':>8s} {'bias':>10s}")
     sqrt_nu = np.sqrt(protocol.nu)

@@ -26,8 +26,11 @@ GRID_SCHEMA_VERSION = 1
 
 CSV_COLUMNS = ("phi1", "phi2", "tr_finv", "finv11", "finv22", "detF", "singular")
 
+SCAN_CHUNK = 8192  # phase points per prob_batch call of a scan
+WORKPOINT_DEDUP_TOL = 1e-3  # working points closer than this (radians) merge
 
-def _fim_components(probs, grads, zero_prob=fisher.ZERO_PROB, zero_grad=fisher.ZERO_GRAD):
+
+def _fim_components(probs, grads):
     """Vectorized 2x2 FIM entries for a batch of distributions.
 
     Returns (f11, f22, f12, support_bad); outcomes below the probability
@@ -38,17 +41,15 @@ def _fim_components(probs, grads, zero_prob=fisher.ZERO_PROB, zero_grad=fisher.Z
     g1 = grads[:, :, 0]
     g2 = grads[:, :, 1]
     grad_norm = np.maximum(np.abs(g1), np.abs(g2))
-    support_bad = np.any((p < zero_prob) & (grad_norm > zero_grad), axis=1)
-    w = np.where(p >= zero_prob, 1.0 / np.maximum(p, 1e-300), 0.0)
+    support_bad = np.any((p < fisher.ZERO_PROB) & (grad_norm > fisher.ZERO_GRAD), axis=1)
+    w = np.where(p >= fisher.ZERO_PROB, 1.0 / np.maximum(p, 1e-300), 0.0)
     f11 = np.einsum("xk,xk->x", w * g1, g1)
     f22 = np.einsum("xk,xk->x", w * g2, g2)
     f12 = np.einsum("xk,xk->x", w * g1, g2)
     return f11, f22, f12, support_bad
 
 
-def _classify_2x2(f11, f22, f12, support_bad,
-                  cond_threshold=fisher.COND_THRESHOLD,
-                  det_threshold=fisher.DET_THRESHOLD):
+def _classify_2x2(f11, f22, f12, support_bad):
     """Determinant, condition number and singular flag per cell."""
     det = f11 * f22 - f12**2
     half_trace = 0.5 * (f11 + f22)
@@ -56,7 +57,8 @@ def _classify_2x2(f11, f22, f12, support_bad,
     lmax = np.abs(half_trace + disc)
     lmin = np.abs(half_trace - disc)
     cond = np.where(lmin > 0.0, lmax / np.maximum(lmin, 1e-300), np.inf)
-    singular = support_bad | (cond >= cond_threshold) | (np.abs(det) < det_threshold)
+    singular = (support_bad | (cond >= fisher.COND_THRESHOLD)
+                | (np.abs(det) < fisher.DET_THRESHOLD))
     det = np.where(support_bad, np.nan, det)
     return det, cond, singular
 
@@ -121,16 +123,15 @@ class LandscapeGrid:
         return float(np.nanmin(self.tr_finv))
 
 
-def scan_grid(interf: Interferometer, probe: Probe, resolution: int = 256,
-              chunk: int = 8192) -> LandscapeGrid:
+def scan_grid(interf: Interferometer, probe: Probe, resolution: int = 256) -> LandscapeGrid:
     """Scan the full (phi1, phi2) torus at uniform spacing 2pi/resolution."""
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
     model = build_model(interf, probe)
     axis = np.arange(resolution) * TWO_PI / resolution
     points = _mesh([axis, axis])
-    chunks = [_inverse_metrics(model, points[start:start + chunk])
-              for start in range(0, len(points), chunk)]
+    chunks = [_inverse_metrics(model, points[start:start + SCAN_CHUNK])
+              for start in range(0, len(points), SCAN_CHUNK)]
     tr, i11, i22, det, singular = (
         np.concatenate(part).reshape(resolution, resolution) for part in zip(*chunks)
     )
@@ -189,11 +190,10 @@ def _grid_local_minima(grid: LandscapeGrid) -> list[tuple[int, int]]:
     return [tuple(idx) for idx in np.argwhere(is_min)]
 
 
-def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5,
-                        dedup_tol: float = 1e-3) -> list[WorkingPoint]:
+def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[WorkingPoint]:
     """Local minima of Tr[F^-1], polished by simplex descent.
 
-    Minima are deduplicated within ``dedup_tol`` radians on the torus and
+    Minima are deduplicated within ``WORKPOINT_DEDUP_TOL`` radians on the torus and
     returned sorted ascending by the trace metric.  A constant landscape
     (every cell tied) collapses to the single grid-origin corner point.
     When the grid was loaded from a file and carries no model, the grid
@@ -231,7 +231,7 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5,
     points.sort(key=lambda w: w.tr_finv)
     kept: list[WorkingPoint] = []
     for wp in points:
-        if all(circular_distance(wp.phases, other.phases) > dedup_tol for other in kept):
+        if all(circular_distance(wp.phases, other.phases) > WORKPOINT_DEDUP_TOL for other in kept):
             kept.append(wp)
     return kept
 
@@ -273,22 +273,15 @@ def stability_region(interf: Interferometer, probe: Probe, center, delta: float,
     )
 
 
-def _format_value(x: float) -> str:
-    return "" if (x is None or not np.isfinite(x)) else f"{x:.17g}"
-
-
-def _iter_records(grid: LandscapeGrid):
+def _grid_rows(grid: LandscapeGrid):
+    """Cells as lists of Python scalars in ``CSV_COLUMNS`` order, built one
+    phi1 row at a time, phi2 varying fastest."""
+    n2 = len(grid.phi2)
     for i, a in enumerate(grid.phi1):
-        for j, b in enumerate(grid.phi2):  # phi2 varies fastest
-            yield {
-                "phi1": float(a),
-                "phi2": float(b),
-                "tr_finv": float(grid.tr_finv[i, j]),
-                "finv11": float(grid.finv11[i, j]),
-                "finv22": float(grid.finv22[i, j]),
-                "detF": float(grid.det_f[i, j]),
-                "singular": int(grid.singular[i, j]),
-            }
+        block = np.column_stack([np.full(n2, a), grid.phi2, grid.tr_finv[i], grid.finv11[i],
+                                 grid.finv22[i], grid.det_f[i]]).tolist()
+        for cell, singular in zip(block, grid.singular[i].tolist()):
+            yield cell + [int(singular)]
 
 
 def export_grid(grid: LandscapeGrid, path, fmt: str = "csv") -> None:
@@ -299,16 +292,12 @@ def export_grid(grid: LandscapeGrid, path, fmt: str = "csv") -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)
-            for rec in _iter_records(grid):
-                writer.writerow([_format_value(rec[key]) for key in CSV_COLUMNS[:-1]]
-                                + [rec["singular"]])
+            for cell in _grid_rows(grid):
+                writer.writerow([f"{x:.17g}" if math.isfinite(x) else "" for x in cell[:-1]]
+                                + cell[-1:])
     elif fmt == "json":
-        cells = []
-        for rec in _iter_records(grid):
-            cells.append(
-                {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-                 for k, v in rec.items()}
-            )
+        cells = [dict(zip(CSV_COLUMNS, [x if math.isfinite(x) else None for x in cell[:-1]]
+                          + cell[-1:])) for cell in _grid_rows(grid)]
         doc = {
             "schema_version": GRID_SCHEMA_VERSION,
             "resolution": list(grid.resolution),
@@ -323,51 +312,39 @@ def export_grid(grid: LandscapeGrid, path, fmt: str = "csv") -> None:
 def load_grid(path, fmt: str = "csv") -> LandscapeGrid:
     """Parse a grid written by export_grid.  The returned grid carries no
     probability model, so working points found on it are unrefined."""
-    records = []
     if fmt == "csv":
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if tuple(reader.fieldnames) != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-            for row in reader:
-                records.append(
-                    {
-                        key: (math.nan if row[key] == "" else float(row[key]))
-                        for key in CSV_COLUMNS[:-1]
-                    }
-                    | {"singular": int(row["singular"])}
-                )
+            reader = csv.reader(handle)
+            header = tuple(next(reader, ()))
+            if header != CSV_COLUMNS:
+                raise ValueError(f"unexpected CSV header {list(header)}")
+            rows = list(reader)
+        if any(len(row) != len(CSV_COLUMNS) for row in rows):
+            raise ValueError(f"CSV rows must have {len(CSV_COLUMNS)} fields")
+        cells = [[math.nan if x == "" else float(x) for x in row[:-1]] + [int(row[-1])]
+                 for row in rows]
     elif fmt == "json":
         with open(path) as handle:
             doc = json.load(handle)
-        for rec in doc["cells"]:
-            records.append(
-                {k: (math.nan if rec[k] is None else rec[k]) for k in CSV_COLUMNS[:-1]}
-                | {"singular": int(rec["singular"])}
-            )
+        cells = [[math.nan if rec[k] is None else rec[k] for k in CSV_COLUMNS[:-1]]
+                 + [int(rec["singular"])] for rec in doc["cells"]]
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    phi1 = sorted({rec["phi1"] for rec in records})
-    phi2 = sorted({rec["phi2"] for rec in records})
-    n1, n2 = len(phi1), len(phi2)
-    if n1 * n2 != len(records):
+    data = np.array(cells, dtype=float).reshape(-1, len(CSV_COLUMNS))
+    phi1, i = np.unique(data[:, 0], return_inverse=True)
+    phi2, j = np.unique(data[:, 1], return_inverse=True)
+    tr, i11, i22, det, singular = arrays = np.full((5, len(phi1), len(phi2)), np.nan)
+    arrays[:, i, j] = data[:, 2:].T
+    # the singular column is never NaN, so a NaN there is a cell no record set
+    if len(data) != singular.size or np.isnan(singular).any():
         raise ValueError("grid records do not form a full lattice")
-    index1 = {v: i for i, v in enumerate(phi1)}
-    index2 = {v: i for i, v in enumerate(phi2)}
-    arrays = {key: np.full((n1, n2), np.nan) for key in CSV_COLUMNS[2:-1]}
-    singular = np.zeros((n1, n2), dtype=bool)
-    for rec in records:
-        i, j = index1[rec["phi1"]], index2[rec["phi2"]]
-        for key in arrays:
-            arrays[key][i, j] = rec[key]
-        singular[i, j] = bool(rec["singular"])
     return LandscapeGrid(
-        phi1=np.array(phi1),
-        phi2=np.array(phi2),
-        tr_finv=arrays["tr_finv"],
-        finv11=arrays["finv11"],
-        finv22=arrays["finv22"],
-        det_f=arrays["detF"],
-        singular=singular,
+        phi1=phi1,
+        phi2=phi2,
+        tr_finv=tr,
+        finv11=i11,
+        finv22=i22,
+        det_f=det,
+        singular=singular != 0,
         model=None,
     )

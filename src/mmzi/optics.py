@@ -82,7 +82,8 @@ class Interferometer:
     def control_phases(self, psis=None) -> np.ndarray:
         """Per-mode phases [d] with the unknowns at zero: the fixed controls,
         then the tunable controls ``psis`` on the unknown modes, each reduced
-        with ``float(v) % 2pi`` and summed per mode in that order."""
+        with ``float(v) % 2pi`` into [0, 2pi) and summed per mode in that
+        order."""
         controls = list(self.fixed_controls)
         if psis is not None:
             psis = np.atleast_1d(np.asarray(psis, dtype=float))
@@ -91,7 +92,8 @@ class Interferometer:
             controls.extend(zip(self.unknown_modes, psis))
         theta = np.zeros(self.d)
         for mode, value in controls:
-            theta[mode] += float(value) % TWO_PI
+            reduced = float(value) % TWO_PI
+            theta[mode] += reduced if reduced < TWO_PI else 0.0  # v in (-4.5e-16, 0) gives 2pi
         return theta
 
     def unitary(self, phis, psis=None) -> np.ndarray:

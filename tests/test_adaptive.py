@@ -9,15 +9,18 @@ from mmzi.adaptive import (
     ProtocolConfig,
     _joint_sigma,
     _likelihood_peaks,
-    _refine,
+    _polish,
     _sigma_from_curvature,
+    _width,
     derive_seeds,
     log_likelihood,
     monte_carlo,
     quotient_errors,
     run_protocol,
+    run_record_dict,
     sample_outcomes,
     wrap_angle,
+    write_run_record,
 )
 from mmzi.optics import four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe, build_model
@@ -155,7 +158,8 @@ def test_refine_prior_pull(q1_model):
     dist = q1_model.distribution(Q1)
     counts = sample_outcomes(dist, 50, 11)
     tight = GaussianPrior(mean=Q1 + 0.05, sigma=[1e-4, 1e-4])
-    x, _value = _refine(counts, tight, q1_model, Q1, refine_tol=1e-5)
+    x, value = _polish(lambda x: -log_likelihood(counts, tight, x, q1_model), Q1)
+    assert value == log_likelihood(counts, tight, x, q1_model)
     assert np.max(np.abs(x - (Q1 + 0.05))) < 5e-3
 
 
@@ -169,6 +173,18 @@ def test_sigma_from_curvature_at_singular_point(q1_model):
     sigma = _sigma_from_curvature(counts, prior, q1_model, np.zeros(2))
     assert np.all(sigma > 0)
     assert np.all(sigma <= 0.01 + 1e-9)
+
+
+def test_width_of_a_diagonal_matrix():
+    assert np.array_equal(_width(np.diag([4.0, 100.0])), [0.5, 0.1])
+    info = np.array([[3.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(_width(info), np.sqrt(np.diag(np.linalg.inv(info))))
+
+
+def test_width_of_a_singular_matrix_is_none():
+    assert _width(np.zeros((2, 2))) is None
+    assert _width(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
+    assert _width(np.diag([1.0, 1e-13])) is None  # condition number 1e13
 
 
 @pytest.mark.parametrize(
@@ -261,7 +277,8 @@ def test_monte_carlo_requires_two_reps():
 def test_monte_carlo_determinism_and_record(tmp_path):
     cfg = ProtocolConfig(modes=3, true_phases=(2.0, 1.0), nu=1000)
     out = tmp_path / "record.json"
-    stats_a = monte_carlo(cfg, 4, master_seed=9, out_path=out)
+    stats_a = monte_carlo(cfg, 4, master_seed=9)
+    write_run_record(run_record_dict(stats_a), out)
     stats_b = monte_carlo(cfg, 4, master_seed=9)
     assert np.array_equal(stats_a.estimates, stats_b.estimates)
     assert np.allclose(stats_a.std, stats_b.std)

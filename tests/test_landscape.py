@@ -180,6 +180,49 @@ def test_export_real_grid_round_trip(tmp_path, grid64):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         export_grid(_make_export_grid(), tmp_path / "x.bin", fmt="parquet")
+    export_grid(_make_export_grid(), tmp_path / "grid.csv")
+    with pytest.raises(ValueError):
+        load_grid(tmp_path / "grid.csv", fmt="parquet")
+
+
+@pytest.fixture(scope="module")
+def singular_grid64():
+    # the four-mode distinguishable landscape at phi0 = 0 has singular cells
+    grid = scan_grid(four_mode_mzi(0.0), Probe.distinguishable((1, 1, 1, 1)), resolution=64)
+    assert 0 < grid.singular_count() < 64 * 64
+    return grid
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_load_export_is_byte_identical(tmp_path, singular_grid64, fmt):
+    first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    export_grid(singular_grid64, first, fmt=fmt)
+    back = load_grid(first, fmt=fmt)
+    export_grid(back, second, fmt=fmt)
+    assert first.read_bytes() == second.read_bytes()
+    for name in ("phi1", "phi2", "tr_finv", "finv11", "finv22", "det_f", "singular"):
+        assert np.array_equal(getattr(back, name), getattr(singular_grid64, name), equal_nan=True)
+
+
+def _write_csv(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+HEADER = "phi1,phi2,tr_finv,finv11,finv22,detF,singular"
+
+
+@pytest.mark.parametrize("lines", [
+    ["phi1,phi2,trace,finv11,finv22,detF,singular", "0,0,1,0.5,0.5,4,0"],  # wrong header
+    [],  # no header at all
+    [HEADER, "0,0,1,0.5,0.5,4,0", "0,3.14,1,0.5"],  # truncated row
+    [HEADER, "0,0,1,0.5,0.5,4,0", "0,1,1,0.5,0.5,4,0", "1,0,1,0.5,0.5,4,0"],  # not a lattice
+    [HEADER, "0,0,1,0.5,0.5,4,0", "0,0,1,0.5,0.5,4,0", "1,1,1,0.5,0.5,4,0",
+     "1,1,1,0.5,0.5,4,0"],  # four records, two cells of the 2 x 2 lattice missing
+])
+def test_load_grid_rejects_malformed_csv(tmp_path, lines):
+    with pytest.raises(ValueError):
+        load_grid(_write_csv(tmp_path / "bad.csv", lines))
 
 
 def test_stability_requires_positive_radius():

@@ -91,8 +91,7 @@ def test_phase_layer_duplicate_index_rejected():
 @given(presets, phase_pair)
 def test_phase_values_reduced_mod_2pi(interf, psis):
     theta = interf.control_phases(psis)
-    # float % 2pi rounds a tiny negative value up to 2pi itself
-    assert np.all((theta >= 0.0) & (theta <= TWO_PI))
+    assert np.all((theta >= 0.0) & (theta < TWO_PI))
     expected = np.zeros(interf.d)
     for mode, value in interf.fixed_controls:
         expected[mode] = value
@@ -100,6 +99,16 @@ def test_phase_values_reduced_mod_2pi(interf, psis):
     assert np.allclose(np.exp(-1j * theta), np.exp(-1j * expected), atol=1e-12)
     theta = four_mode_mzi(0.05).control_phases([2 * np.pi + 0.5, -0.25])
     assert np.allclose(theta, [0.5, 2 * np.pi - 0.25, 0.05, 0.0])
+
+
+def test_tiny_negative_controls_reduce_to_zero():
+    # float(v) % 2pi is exactly 2pi for v in about (-4.5e-16, 0)
+    for interf in (three_mode_mzi(), four_mode_mzi(0.3)):
+        for tiny in (-1e-100, -2.7e-102, -1e-17, -4e-16):
+            assert np.array_equal(interf.control_phases([tiny, 0.0]),
+                                  interf.control_phases([0.0, 0.0]))
+        assert np.array_equal(interf.unitary([0.4, 1.1], psis=[-1e-100, 0.0]),
+                              interf.unitary([0.4, 1.1], psis=[0.0, 0.0]))
 
 
 @pytest.mark.parametrize("psis", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
@@ -174,12 +183,15 @@ def _phase_config_offset(interf, psis):
     """The models' per-mode phase offset as the former ``PhaseConfig`` built
     it: unknowns at zero, then the fixed controls, then ``psis`` on the
     control modes, each value reduced with ``float(v) % 2pi`` and summed
-    per mode in that order."""
+    per mode in that order.  A value that reduced to exactly 2pi (a tiny
+    negative control) counts as 0, the one place the former formula left
+    [0, 2pi)."""
     unknown = [(int(m), float(0.0) % TWO_PI) for m in interf.unknown_modes]
     control = list(interf.fixed_controls)
     if psis is not None:
         control.extend(zip(interf.unknown_modes, np.atleast_1d(np.asarray(psis, dtype=float))))
     control = [(int(m), float(v) % TWO_PI) for m, v in control]
+    control = [(m, 0.0 if v == TWO_PI else v) for m, v in control]
     theta = np.zeros(interf.d)
     for mode, value in unknown + control:
         theta[mode] += value

@@ -164,11 +164,11 @@ def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     probability."""
     points = np.mod(points, TWO_PI)
     total = np.zeros(len(points))
-    for counts, model in batches:
-        p = model.prob_batch(points, grads=False)[0][:, counts.observed]
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for counts, model in batches:
+            p = model.prob_batch(points, grads=False)[0][:, counts.observed]
             total += np.log(p, out=p) @ counts.observed_counts
-        del p  # not held while the next model evaluates: that would lift the peak memory
+            del p  # not held while the next model evaluates: that would lift the peak memory
     return total
 
 
@@ -233,9 +233,12 @@ def _polish(objective, x0):
 def _window_peaks(batches, mean, sigma, step, top=1):
     """(point, value) of the ``top`` highest local maxima of the joint
     likelihood of ``batches`` on the grid mean +/- 5 sigma at spacing
-    ``step`` (scalar or one per axis); ``top=1`` is the grid maximum."""
+    ``step`` (scalar or one per axis); ``top=1`` is the grid maximum.  A
+    half-width is capped at pi, so a window never spans more than the
+    torus."""
     steps = np.broadcast_to(step, np.shape(sigma))
-    axes = [np.arange(-5.0 * s, 5.0 * s + d / 2, d) for s, d in zip(sigma, steps)]
+    halves = [min(5.0 * s, np.pi) for s in sigma]
+    axes = [np.arange(-h, h + d / 2, d) for h, d in zip(halves, steps)]
     points = _mesh(axes) + mean
     values = _joint_loglik_batch(batches, points)
     if top == 1:
@@ -448,8 +451,9 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         remaining[take] -= nu_rough
     collected.extend(rough_batches)
     hypotheses = []
-    for position, value in peaks:
-        hyp_sigma = _joint_sigma(rough_batches, position)
+    for k, (position, value) in enumerate(peaks):
+        # peaks[0] is ``rough``, whose width the retry loop already has
+        hyp_sigma = sigma if k == 0 else _joint_sigma(rough_batches, position)
         hypotheses.append(
             _Hypothesis(
                 mean=position,

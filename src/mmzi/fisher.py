@@ -17,14 +17,8 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary, single_mode_sector_state
-from .probes import OutcomeDistribution, Probe, coherent_cutoff
+from .probes import ZERO_GRAD, ZERO_PROB, OutcomeDistribution, Probe, coherent_cutoff
 from .optics import Interferometer
-
-# Zero-probability outcomes are dropped from the classical sum only when
-# their gradient also vanishes (removable limit); otherwise the matrix
-# diverges at that phase point.
-ZERO_PROB = 1e-14
-ZERO_GRAD = 1e-10
 
 # Shared singularity thresholds for inverting 2x2 and larger matrices.
 COND_THRESHOLD = 1e10

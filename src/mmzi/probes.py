@@ -11,12 +11,20 @@ Each probe kind gets a model object bound to a fixed interferometer
   grads [n_pts, n_out, n_params]).  With ``grads=False`` the result is
   (probs, None) and no derivative is computed; ``probs`` is bit for bit the
   array the ``grads=True`` call returns, so likelihoods that need only
-  probabilities take this path without moving an output.
+  probabilities take this path without moving an output;
+* ``fim_batch(points)``  -- the classical Fisher information of the counts
+  at many phase points: (F [n_pts, n_params, n_params], support_bad
+  [n_pts]).  ``support_bad`` marks points where an outcome has probability
+  below ``ZERO_PROB`` and a gradient above ``ZERO_GRAD``, so the
+  information diverges; outcomes below ``ZERO_PROB`` add nothing to F.
+  The base method sums over the outcome list of ``prob_batch``; the
+  coherent model uses the Poisson closed form instead.
 
 The models share one private base, ``_ProbeModel``, which checks the probe,
 builds the per-mode phase vectors and packages ``distribution``.  A model
 subclass sets ``kind`` (the probe kind it accepts) and ``basis`` (its
-ordered outcome list) and defines ``prob_batch`` with the contract above.
+ordered outcome list) and defines ``prob_batch`` with the contract above;
+``fim_batch`` is inherited unless the model has a closed form.
 
 For a Fock probe the amplitude on outcome x factorizes over the n-photon
 intermediate basis m as
@@ -32,6 +40,7 @@ gradients from the same precomputation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -43,6 +52,12 @@ from .optics import Interferometer
 PROB_SUM_TOL = 1e-10
 
 DEFAULT_COHERENT_TAIL = 1e-8
+
+# Zero-probability outcomes are dropped from the classical sum only when
+# their gradient also vanishes (removable limit); otherwise the matrix
+# diverges at that phase point.
+ZERO_PROB = 1e-14
+ZERO_GRAD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,29 @@ class OutcomeDistribution:
         return self
 
 
+def _support_bad(probs, grads):
+    """Points [n_pts] where an outcome below ``ZERO_PROB`` still has a
+    gradient above ``ZERO_GRAD``; ``probs`` is [n_pts, n_out] and ``grads``
+    [n_pts, n_out, n_params]."""
+    # a pairwise maximum over the parameters: numpy's max over the short
+    # last axis is ~15x slower on a scan chunk
+    grad_norm = reduce(np.maximum, [np.abs(grads[:, :, j]) for j in range(grads.shape[2])])
+    return np.any((probs < ZERO_PROB) & (grad_norm > ZERO_GRAD), axis=1)
+
+
+def _weighted_gram(w, g):
+    """F[p, j, k] = sum_x w[p, x] g[p, x, j] g[p, x, k], one einsum per
+    j <= k with the lower triangle mirrored from the upper."""
+    n = g.shape[2]
+    f = np.empty((g.shape[0], n, n))
+    for j in range(n):
+        wg = w * g[:, :, j]
+        for k in range(j, n):
+            f[:, j, k] = np.einsum("xk,xk->x", wg, g[:, :, k])
+        f[:, j + 1:, j] = f[:, j, j + 1:]
+    return f
+
+
 class _ProbeModel:
     """Base of the probe models; the subclass contract, including that of
     ``prob_batch(points, grads=True)``, is in the module docstring."""
@@ -163,6 +201,13 @@ class _ProbeModel:
             grads=grads[0],
             mass_tol=self.mass_tol,
         )
+
+    def fim_batch(self, points: np.ndarray):
+        """Fisher information summed over the outcome list; the contract is
+        in the module docstring."""
+        probs, grads = self.prob_batch(points)
+        w = np.where(probs >= ZERO_PROB, 1.0 / np.maximum(probs, 1e-300), 0.0)
+        return _weighted_gram(w, grads), _support_bad(probs, grads)
 
 
 class FockProbeModel(_ProbeModel):
@@ -285,7 +330,8 @@ class CoherentProbeModel(_ProbeModel):
     photon counts are independent Poisson variables with means |beta_i|^2.
 
     The outcome list is truncated at a total photon number chosen so the
-    neglected Poisson tail mass stays below ``tail``.
+    neglected Poisson tail mass stays below ``tail``; it serves
+    ``distribution``, sampling and likelihoods, while ``fim_batch`` is exact.
     """
 
     kind = "coherent"
@@ -339,6 +385,20 @@ class CoherentProbeModel(_ProbeModel):
         out = np.einsum("pxi,pij->pxj", ratio, dmu) - dmu.sum(axis=1)[:, None, :]
         out *= probs[:, :, None]
         return probs, out
+
+    def fim_batch(self, points: np.ndarray):
+        """Closed form F = sum_i dmu_i dmu_i^T / mu_i of independent Poisson
+        counts, with no outcome truncation.  The support check applies the
+        outcome-sum rule to the one-photon outcomes e_i, of probability
+        mu_i e^-M and gradient e^-M (dmu_i - mu_i sum_l dmu_l) with M the
+        total mean, and a mode whose e_i is below ``ZERO_PROB`` is dropped
+        from the sum, as the outcome sum drops it."""
+        mu, dmu = self._mode_means(self._theta(points), True)
+        scale = np.exp(-mu.sum(axis=1))[:, None]
+        p_one = mu * scale
+        g_one = scale[:, :, None] * (dmu - mu[:, :, None] * dmu.sum(axis=1)[:, None, :])
+        w = np.where(p_one >= ZERO_PROB, 1.0 / np.maximum(mu, 1e-300), 0.0)
+        return _weighted_gram(w, dmu), _support_bad(p_one, g_one)
 
 
 def build_model(interf: Interferometer, probe: Probe, psis=None, **kwargs):

@@ -12,6 +12,7 @@ from mmzi.adaptive import (
     _polish,
     _sigma_from_curvature,
     _width,
+    _window_peaks,
     derive_seeds,
     log_likelihood,
     monte_carlo,
@@ -173,6 +174,34 @@ def test_sigma_from_curvature_at_singular_point(q1_model):
     sigma = _sigma_from_curvature(counts, prior, q1_model, np.zeros(2))
     assert np.all(sigma > 0)
     assert np.all(sigma <= 0.01 + 1e-9)
+
+
+class _PointCounter:
+    """Stands in for a model: keeps every batch of points it is asked for
+    and gives two equally likely outcomes."""
+
+    n_params = 2
+
+    def __init__(self):
+        self.batches = []
+
+    def prob_batch(self, points, grads=True):
+        self.batches.append(points)
+        return np.full((len(points), 2), 0.5), None
+
+
+def test_likelihood_window_is_capped_at_the_torus():
+    # a four-mode rough step at nu = 20 (derive_seeds(7, 24)[9], true phases
+    # (0.7, 1.3), phi0 = 0.01) has widths (3.95, 3.50): uncapped, mean +/- 5
+    # sigma at step 0.02 is a 1,973 x 1,753 window per model
+    counter = _PointCounter()
+    counts = CountRecord(counts=np.array([3, 1]), total=4)
+    _window_peaks([(counts, counter)], np.array([0.7, 1.3]), np.array([3.95, 3.50]), 0.02)
+    [points] = counter.batches
+    limit = int(np.ceil(2 * np.pi / 0.02)) + 1
+    axis_sizes = [len(np.unique(points[:, j])) for j in range(2)]
+    assert max(axis_sizes) <= limit
+    assert len(points) == axis_sizes[0] * axis_sizes[1]
 
 
 def test_width_of_a_diagonal_matrix():

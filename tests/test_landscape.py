@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from mmzi.fisher import fisher_matrix, invert_fisher
 from mmzi.landscape import (
     LandscapeGrid,
+    _classify_2x2,
     circular_distance,
     export_grid,
     find_working_points,
@@ -12,7 +15,7 @@ from mmzi.landscape import (
     stability_region,
 )
 from mmzi.optics import four_mode_mzi, three_mode_mzi
-from mmzi.probes import Probe, build_model
+from mmzi.probes import Probe, _ProbeModel, build_model
 
 THREE = three_mode_mzi()
 
@@ -223,6 +226,44 @@ HEADER = "phi1,phi2,tr_finv,finv11,finv22,detF,singular"
 def test_load_grid_rejects_malformed_csv(tmp_path, lines):
     with pytest.raises(ValueError):
         load_grid(_write_csv(tmp_path / "bad.csv", lines))
+
+
+@pytest.mark.parametrize("doc", [
+    {"cells": [{"phi1": 0.0}]},  # a cell without the other six keys
+    {"schema_version": 1},  # no cells
+    [{"phi1": 0.0}],  # not an object
+    {"cells": [0.0]},  # a cell that is not an object
+    {"cells": [dict(zip(HEADER.split(","), [0, 0, 1, 0.5, 0.5, 4, None]))]},  # no flag
+])
+def test_load_grid_rejects_malformed_json(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_grid(path, fmt="json")
+
+
+def test_four_mode_coherent_landscape_reaches_the_quantum_bound():
+    # coherent light of mean photon number 4 without a phase reference has
+    # Tr QFIM^-1 = 0.75 on the four-mode preset; the counting landscape
+    # attains it near (pi, pi)
+    grid = scan_grid(four_mode_mzi(0.01), Probe.coherent(2.0), resolution=256)
+    assert 0.75 <= grid.min_trace() <= 0.75 + 1e-4
+    assert grid.singular_count() == 0
+
+
+def test_coherent_singular_flags_match_the_outcome_sum():
+    # at phi0 = 0.001 the four-mode coherent scan has 28 singular cells; the
+    # outcome sum over the truncated list flags the same cells, and so do
+    # both on every neighbour of them
+    grid = scan_grid(four_mode_mzi(0.001), Probe.coherent(2.0), resolution=256)
+    assert grid.singular_count() == 28
+    cells = {((i + di) % 256, (j + dj) % 256) for i, j in np.argwhere(grid.singular)
+             for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    rows, cols = np.array(sorted(cells)).T
+    points = np.column_stack([grid.phi1[rows], grid.phi2[cols]])
+    f, support_bad = _ProbeModel.fim_batch(grid.model, points)
+    _det, _cond, singular = _classify_2x2(f[:, 0, 0], f[:, 1, 1], f[:, 0, 1], support_bad)
+    assert np.array_equal(singular, grid.singular[rows, cols])
 
 
 def test_stability_requires_positive_radius():

@@ -8,6 +8,7 @@ from mmzi.optics import Interferometer, four_mode_mzi, three_mode_mzi
 from mmzi.probes import (
     CoherentProbeModel,
     Probe,
+    _ProbeModel,
     build_model,
     coherent_cutoff,
 )
@@ -173,3 +174,34 @@ def test_distribution_rejects_the_wrong_phase_count(phis):
     model = build_model(THREE, Probe.fock((1, 1, 1)))
     with pytest.raises(ValueError):
         model.distribution(phis)
+
+
+def _outcome_sum_fim(model, points, chunk=50):
+    """sum_x g g^T / p over every outcome of ``model`` with p > 0: the
+    Fisher information of the truncated outcome list, with no floor."""
+    parts = []
+    for start in range(0, len(points), chunk):
+        p, g = model.prob_batch(points[start:start + chunk])
+        w = np.where(p > 0.0, 1.0 / np.where(p > 0.0, p, 1.0), 0.0)
+        parts.append((g * w[:, :, None]).transpose(0, 2, 1) @ g)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("interf,probe", [(THREE, Probe.coherent(np.sqrt(3.0))),
+                                          (FOUR, Probe.coherent(2.0))])
+def test_coherent_closed_form_matches_the_outcome_sum(interf, probe):
+    # The Poisson closed form is exact; an outcome sum approaches it as its
+    # tail shrinks.  At tail 1e-12 they agree to ~1e-12 of the largest
+    # diagonal entry.  The base class's outcome sum at the default tail 1e-8,
+    # which also drops outcomes below ZERO_PROB, is ~2e-8 away.
+    points = np.random.default_rng(23).uniform(0.0, 2 * np.pi, (400, 2))
+    model = build_model(interf, probe)
+    f, support_bad = model.fim_batch(points)
+    assert f.shape == (400, 2, 2) and not support_bad.any()
+    assert np.array_equal(f, f.transpose(0, 2, 1))
+    scale = np.max(np.diagonal(f, axis1=1, axis2=2))
+    reference = _outcome_sum_fim(CoherentProbeModel(interf, probe, tail=1e-12), points)
+    assert np.max(np.abs(f - reference)) <= 1e-10 * scale
+    floored = np.concatenate([_ProbeModel.fim_batch(model, points[k:k + 50])[0]
+                              for k in range(0, len(points), 50)])
+    assert np.max(np.abs(floored - reference)) > 1e-9 * scale

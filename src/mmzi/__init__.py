@@ -56,6 +56,7 @@ from .adaptive import (
     MonteCarloStats,
     ProtocolConfig,
     ProtocolTrace,
+    RoughStepError,
     log_likelihood,
     monte_carlo,
     quotient_errors,
@@ -105,6 +106,7 @@ __all__ = [
     "MonteCarloStats",
     "ProtocolConfig",
     "ProtocolTrace",
+    "RoughStepError",
     "log_likelihood",
     "monte_carlo",
     "quotient_errors",

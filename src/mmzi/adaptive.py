@@ -20,13 +20,16 @@ carried over from the previous step.  A protocol run is:
            Fisher matrices.
 
 Everything is deterministic given the seed; Monte Carlo repetitions use
-seeds derived from the master seed by numpy's SeedSequence.generate_state.
+seeds derived from the master seed by numpy's SeedSequence.generate_state,
+and may run in a pool of forked processes, one seed per task.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -78,9 +81,13 @@ MAX_RETRIES = 3  # rough-step re-draws when its information is singular
 PEAK_KEEP = 24  # rough peaks kept as hypotheses, at most
 PEAK_MARGIN = 25.0  # nats behind the best rough peak before dropping
 PEAK_DEDUP_RADIUS = 0.15  # rough peaks closer than this (max norm) merge
-CURVATURE_STEP = 1e-4  # finite-difference step of the curvature width
 REFIT_MARGIN = 40.0  # nats behind the best joint-refit seed before skipping
 PRUNE_MARGIN = 60.0  # nats behind the leading hypothesis before dropping
+
+
+class RoughStepError(ValueError):
+    """The rough step's information stayed singular through every re-draw
+    the budget allows; the message names the repetition's seed."""
 
 
 def wrap_angle(x):
@@ -191,32 +198,6 @@ def _joint_sigma(batches, estimate):
         except SingularSupportError:
             continue
     return _width(info)
-
-
-def _sigma_from_curvature(counts: CountRecord, prior, model, estimate):
-    """Fallback width from a finite-difference Hessian of the log posterior."""
-    n = len(estimate)
-    h = CURVATURE_STEP
-    hessian = np.empty((n, n))
-
-    def f(x):
-        return log_likelihood(counts, prior, x, model)
-
-    f0 = f(estimate)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        hessian[i, i] = (f(estimate + ei) - 2 * f0 + f(estimate - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            hessian[i, j] = hessian[j, i] = (
-                f(estimate + ei + ej) - f(estimate + ei - ej)
-                - f(estimate - ei + ej) + f(estimate - ei - ej)
-            ) / (4 * h**2)
-    cov = np.linalg.inv(-hessian)
-    diag = np.clip(np.diag(cov), 1e-12, None)
-    return np.sqrt(diag)
 
 
 def _polish(objective, x0):
@@ -404,6 +385,10 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
     maximizes the joint likelihood of all steps together, and its width
     comes from the summed per-step information  sum_s nu_s F_s  at the
     estimate (the additivity of the per-step Fisher matrices).
+
+    Raises ``RoughStepError`` when the rough-step information is singular
+    after ``MAX_RETRIES`` re-draws, or once a re-draw would exhaust the
+    remaining budget.
     """
     rng = np.random.default_rng(seed)
     interf = config.interferometer()
@@ -442,10 +427,10 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
             break
         retries += 1
         if retries > MAX_RETRIES or max(remaining) <= nu_rough:
-            sigma = _sigma_from_curvature(
-                rough_batches[0][0], None, model_a, rough
+            raise RoughStepError(
+                f"seed {seed}: the rough-step information is singular after "
+                f"{retries - 1} re-draws (at most {MAX_RETRIES}, budget permitting)"
             )
-            break
         # re-draw with budget taken from the largest remaining step
         take = int(np.argmax(remaining))
         remaining[take] -= nu_rough
@@ -636,22 +621,73 @@ class MonteCarloStats:
     master_seed: object = None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, so ``taskset -c 0`` runs monte_carlo serially in-process."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _one_blas_thread():
+    """Pool initializer: cap numpy's OpenBLAS at one thread, so that the
+    workers do not oversubscribe the cores.  Without a setter the results
+    are the same, only slower."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            try:
+                setter = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+def _final_state(config: ProtocolConfig, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(final_estimate, final_sigma) of one run: all a pool worker sends back."""
+    trace = run_protocol(config, seed)
+    return trace.final_estimate, trace.final_sigma
+
+
 def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed) -> MonteCarloStats:
     """Repeat the protocol with derived per-repetition seeds and summarize.
 
     Statistics are computed on the identifiable quotient: each estimate is
     mapped to its phase-group image nearest the true phases and the wrapped
     deviations give bias (vs truth) and std.
+
+    Forked processes share the repetitions, one per usable CPU but never
+    more than the repetitions; the CPU affinity set (``taskset``) limits
+    them.  Results are stored in seed order, so the statistics do not
+    depend on the process count.  With one usable CPU, or where the
+    platform cannot fork, the runs take place in this process.
     """
+    import multiprocessing
+
     if repetitions < 2:
         raise ValueError("need repetitions >= 2")
+    count = min(repetitions, _usable_cpus())
     seeds = derive_seeds(master_seed, repetitions)
-    estimates = np.empty((repetitions, len(config.true_phases)))
-    sigmas = np.empty_like(estimates)
-    for r, seed in enumerate(seeds):
-        trace = run_protocol(config, seed)
-        estimates[r] = trace.final_estimate
-        sigmas[r] = trace.final_sigma
+    run = partial(_final_state, config)
+    # fork, not spawn: a spawned child re-imports __main__, which breaks
+    # scripts that call monte_carlo at top level, and starts with cold
+    # caches.  The pool forks every worker before its manager thread starts.
+    # Checked on Python 3.11; on 3.12+ each fork warns (DeprecationWarning)
+    # because numpy's OpenBLAS threads are already running in this process.
+    if count > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            finals = list(pool.map(run, seeds, chunksize=1))
+    else:
+        finals = [run(seed) for seed in seeds]
+    estimates, sigmas = (np.array(column, dtype=float) for column in zip(*finals))
     errors = quotient_errors(estimates, config.true_phases, config.phase_group())
     bias = errors.mean(axis=0)
     std = errors.std(axis=0, ddof=1)

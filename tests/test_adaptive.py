@@ -1,16 +1,21 @@
+import concurrent.futures
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
+import mmzi.adaptive as adaptive
 from mmzi.adaptive import (
     THREE_MODE_PHASE_GROUP,
     FOUR_MODE_PHASE_GROUP,
     CountRecord,
     GaussianPrior,
     ProtocolConfig,
+    RoughStepError,
     _joint_sigma,
     _likelihood_peaks,
     _polish,
-    _sigma_from_curvature,
     _width,
     _window_peaks,
     derive_seeds,
@@ -164,16 +169,23 @@ def test_refine_prior_pull(q1_model):
     assert np.max(np.abs(x - (Q1 + 0.05))) < 5e-3
 
 
-def test_sigma_from_curvature_at_singular_point(q1_model):
-    # the zero-phase point has an exactly singular FIM, so run_protocol falls
-    # back to the likelihood curvature (here dominated by the prior)
+def test_exhausted_rough_step_retries_raise(q1_model, monkeypatch):
+    # the zero-phase point has an exactly singular FIM; a rough step whose
+    # information stays singular through every re-draw raises, naming the seed
     dist = q1_model.distribution([0.0, 0.0])
     counts = sample_outcomes(dist, 500, 3)
     assert _joint_sigma([(counts, q1_model)], np.zeros(2)) is None
-    prior = GaussianPrior(mean=[0.0, 0.0], sigma=[0.01, 0.01])
-    sigma = _sigma_from_curvature(counts, prior, q1_model, np.zeros(2))
-    assert np.all(sigma > 0)
-    assert np.all(sigma <= 0.01 + 1e-9)
+    monkeypatch.setattr(adaptive, "_joint_sigma", lambda batches, estimate: None)
+    cfg = ProtocolConfig(modes=3, true_phases=(2.2, 1.0), nu=1000)
+    with pytest.raises(RoughStepError, match=r"^seed 77: .* after 3 re-draws") as info:
+        run_protocol(cfg, 77)
+    # one message argument, so the error crosses a process pool intact
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is RoughStepError and str(copy) == str(info.value)
+    # a re-draw that would use up the remaining budget is not attempted
+    tight = ProtocolConfig(modes=3, true_phases=(2.2, 1.0), nu=1000, fractions=(0.4, 0.3, 0.3))
+    with pytest.raises(RoughStepError, match="after 0 re-draws"):
+        run_protocol(tight, 77)
 
 
 class _PointCounter:
@@ -318,3 +330,49 @@ def test_monte_carlo_determinism_and_record(tmp_path):
     assert record["master_seed"] == 9
     assert len(record["estimates"]) == 4
     assert "created_at" in record
+
+
+def _with_cpus(monkeypatch, cpus):
+    """monte_carlo sees ``cpus`` usable CPUs, whatever the machine has; a
+    pool of more than two processes fails before any process starts."""
+    monkeypatch.setattr(adaptive, "_usable_cpus", lambda: cpus)
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def at_most_two(max_workers, *args, **kwargs):
+        assert max_workers <= 2, max_workers
+        return real_pool(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", at_most_two)
+
+
+def test_usable_cpus_counts_at_least_one():
+    assert adaptive._usable_cpus() >= 1
+
+
+def test_monte_carlo_is_bit_identical_for_every_process_count(monkeypatch):
+    cfg = ProtocolConfig(modes=3, true_phases=(2.2, 1.0), nu=1000)
+    runs = {}
+    # 10**12 CPUs with 2 repetitions: the pool is capped at 2 processes
+    for cpus, reps in ((1, 3), (2, 3), (1, 2), (10**12, 2)):
+        _with_cpus(monkeypatch, cpus)
+        runs[cpus, reps] = monte_carlo(cfg, reps, master_seed=5)
+        assert multiprocessing.active_children() == []
+    for (cpus, reps), serial in (((2, 3), runs[1, 3]), ((10**12, 2), runs[1, 2])):
+        stats = runs[cpus, reps]
+        for name in ("estimates", "std", "bias", "predicted_sigma"):
+            got, want = getattr(stats, name), getattr(serial, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (cpus, name)
+
+
+def test_a_failing_repetition_raises_the_same_error_in_the_pool(monkeypatch):
+    # a four-mode protocol at phi0 = 0 fails inside every repetition
+    cfg = ProtocolConfig(modes=4, true_phases=(0.7, 1.3), nu=1000, phi0=0.0)
+    errors = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as info:
+            monte_carlo(cfg, 3, master_seed=1)
+        errors.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert errors[0][0] is ValueError and "phi0" in errors[0][1]

@@ -1,9 +1,16 @@
 import copy
+import io
 import json
+import multiprocessing
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mmzi.adaptive as adaptive
+from mmzi import cli
 from mmzi.cli import DEFAULT_CONFIG, main
 from mmzi.landscape import load_grid
 
@@ -206,3 +213,66 @@ def test_bad_config_values_exit_1_before_any_work(capsys, tmp_path, command, doc
 )
 def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code):
     assert run_cli(capsys, argv)[0] == code
+
+
+def test_adaptive_run_record_is_byte_identical_for_any_process_count(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "record.json"
+    argv = ["adaptive", "--seed", "42", "--reps", "3", "--nu", "1000", "--out", str(out)]
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(adaptive, "_usable_cpus", lambda: cpus)
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines = [line for line in out.read_bytes().splitlines() if b'"created_at"' not in line]
+        results.append((stdout, lines))
+    assert multiprocessing.active_children() == []
+    assert results[0] == results[1]
+
+
+def test_exhausted_rough_step_retries_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(adaptive, "_joint_sigma", lambda batches, estimate: None)
+    monkeypatch.setattr(adaptive, "_usable_cpus", lambda: 2)
+    out = tmp_path / "record.json"
+    argv = ["adaptive", "--seed", "3", "--reps", "2", "--nu", "1000", "--out", str(out)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: seed ") and "rough-step" in err
+    assert not out.exists()
+
+
+COMMANDS = ("scan", "bounds", "adaptive", "workpoints")
+SCHEMA_KEYS = [(section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+invalid_entries = st.sampled_from(SCHEMA_KEYS).flatmap(
+    lambda sk: st.tuples(st.just(sk), json_values.filter(
+        lambda v: not cli.CONFIG_SCHEMA[sk[0]][sk[1]][1](v))))
+
+
+def _main_off_the_compute_path(argv):
+    """main(argv) with every subcommand replaced by a failing stand-in, so
+    only parsing and validation run; returns (exit code, stderr)."""
+
+    def compute(*args, **kwargs):
+        raise AssertionError("validation let a bad value through")
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()), redirect_stderr(err):
+        for command in COMMANDS:
+            mp.setattr(cli, f"cmd_{command}", compute)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(COMMANDS), entry=invalid_entries)
+def test_every_invalid_config_value_exits_1(tmp_path_factory, command, entry):
+    (section, key), value = entry
+    config = tmp_path_factory.mktemp("cfg") / "c.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    code, err = _main_off_the_compute_path([command, "--config", str(config)])
+    assert code == 1
+    assert err.startswith("config error:")

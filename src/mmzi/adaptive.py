@@ -22,6 +22,14 @@ carried over from the previous step.  A protocol run is:
 Everything is deterministic given the seed; Monte Carlo repetitions use
 seeds derived from the master seed by numpy's SeedSequence.generate_state,
 and may run in a pool of forked processes, one seed per task.
+
+The step-1 model (controls at zero) is the same for every run of a preset,
+so each process keeps it, with log p of every outcome on the rough-step
+torus (126^2 points at ``ROUGH_GRID_STEP``): 1.3 MB for three modes, 4.4 MB
+for four.  A process builds it at its first ``run_protocol`` of the preset;
+under ``monte_carlo``'s pool that is each child, never the parent, which
+only warms the sector matrices the children inherit.  The
+``ROUGH_CACHE_SIZE`` presets used last are kept.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -83,6 +91,7 @@ PEAK_MARGIN = 25.0  # nats behind the best rough peak before dropping
 PEAK_DEDUP_RADIUS = 0.15  # rough peaks closer than this (max norm) merge
 REFIT_MARGIN = 40.0  # nats behind the best joint-refit seed before skipping
 PRUNE_MARGIN = 60.0  # nats behind the leading hypothesis before dropping
+ROUGH_CACHE_SIZE = 4  # presets whose rough model and torus table a process keeps
 
 
 class RoughStepError(ValueError):
@@ -230,11 +239,38 @@ def _window_peaks(batches, mean, sigma, step, top=1):
     return [(points[j], float(values[j])) for j in best]
 
 
-def _likelihood_peaks(batches, grid_step: float):
+def _torus(n_params: int):
+    """(points per axis, points [steps^n_params, n_params]) of the
+    rough-step grid over the torus at spacing ``ROUGH_GRID_STEP``."""
+    steps = max(int(np.ceil(TWO_PI / ROUGH_GRID_STEP)), 16)
+    axis = np.arange(steps) * TWO_PI / steps
+    return steps, _mesh([axis] * n_params)
+
+
+@lru_cache(maxsize=ROUGH_CACHE_SIZE)
+def _rough_model(modes: int, phi0: float):
+    """The controls-at-zero model of a preset, carrying ``torus_log_p``:
+    log p [n_points, n_outcomes] on the ``_torus`` grid, the same array
+    ``_joint_loglik_batch`` computes there before it picks the observed
+    outcomes."""
+    config = ProtocolConfig(modes=modes, true_phases=(0.0, 0.0), phi0=phi0)
+    interf = config.interferometer()
+    model = build_model(interf, config.probe(), psis=np.zeros(interf.n_params))
+    points = np.mod(_torus(model.n_params)[1], TWO_PI)
+    probs = model.prob_batch(points, grads=False)[0]
+    with np.errstate(divide="ignore"):
+        model.torus_log_p = np.log(probs, out=probs)
+    model.torus_log_p.flags.writeable = False
+    return model
+
+
+def _likelihood_peaks(batches):
     """Local maxima of the joint flat-prior likelihood of one or more
-    (counts, model) batches over the torus, sharpened on a batched
-    sub-grid, sorted by likelihood; peaks more than ``PEAK_MARGIN`` nats
-    below the best are dropped.
+    (counts, model) batches over the ``_torus`` grid, sharpened on a
+    batched sub-grid, sorted by likelihood; peaks more than
+    ``PEAK_MARGIN`` nats below the best are dropped.  The grid values are
+    summed batch by batch, from the model's ``torus_log_p`` where it has
+    one.
 
     At a single control setting the likelihood carries many near-tied
     peaks (the exact shift group of the splitters plus reflection-type
@@ -244,10 +280,15 @@ def _likelihood_peaks(batches, grid_step: float):
     refits supply the precision.
     """
     n_params = batches[0][1].n_params
-    steps = max(int(np.ceil(TWO_PI / grid_step)), 16)
-    axis = np.arange(steps) * TWO_PI / steps
-    points = _mesh([axis] * n_params)
-    data = _joint_loglik_batch(batches, points).reshape([steps] * n_params)
+    steps, points = _torus(n_params)
+    data = np.zeros(len(points))
+    for counts, model in batches:
+        log_p = getattr(model, "torus_log_p", None)
+        if log_p is None:
+            data += _joint_loglik_batch([(counts, model)], points)
+        else:
+            data += log_p[:, counts.observed] @ counts.observed_counts
+    data = data.reshape([steps] * n_params)
     flat_idx = np.flatnonzero(_local_maxima(data))
     order = flat_idx[np.argsort(data.ravel()[flat_idx])[::-1]]
     coarse = []
@@ -259,7 +300,7 @@ def _likelihood_peaks(batches, grid_step: float):
         if len(coarse) >= PEAK_KEEP:
             break
     # one batched sub-grid pass sharpens every peak position
-    local = _mesh([np.arange(-2, 3) * (grid_step / 5.0)] * n_params)
+    local = _mesh([np.arange(-2, 3) * (ROUGH_GRID_STEP / 5.0)] * n_params)
     sub_points = (np.asarray(coarse)[:, None, :] + local[None, :, :]).reshape(-1, n_params)
     sub_values = _joint_loglik_batch(batches, sub_points).reshape(len(coarse), -1)
     peaks = []
@@ -407,7 +448,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
     # the crude estimate onto the first working point.  The pair of
     # settings leaves only the exact shift group, and the second half's
     # counts are taken where the circuit is most informative.
-    model_a = build_model(interf, probe, psis=np.zeros(n))
+    model_a = _rough_model(config.modes, config.phi0)
     nu_rough = budgets[0]
     nu_a = nu_rough - nu_rough // 2
     nu_b = nu_rough // 2
@@ -415,12 +456,12 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
     retries = 0
     while True:
         batch_a = (sample_outcomes(model_a.distribution(true), nu_a, rng), model_a)
-        crude = _likelihood_peaks([batch_a], ROUGH_GRID_STEP)[0][0]
+        crude = _likelihood_peaks([batch_a])[0][0]
         psis_b = wrap_angle(targets[0] - crude)
         model_b = build_model(interf, probe, psis=psis_b)
         batch_b = (sample_outcomes(model_b.distribution(true), nu_b, rng), model_b)
         rough_batches = [batch_a, batch_b]
-        peaks = _likelihood_peaks(rough_batches, ROUGH_GRID_STEP)
+        peaks = _likelihood_peaks(rough_batches)
         rough = peaks[0][0]
         sigma = _joint_sigma(rough_batches, rough)
         if sigma is not None:
@@ -629,23 +670,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _one_blas_thread():
-    """Pool initializer: cap numpy's OpenBLAS at one thread, so that the
-    workers do not oversubscribe the cores.  Without a setter the results
-    are the same, only slower."""
+def _blas_thread_functions():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None where
+    they are not found."""
     import ctypes
     from pathlib import Path
 
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("libscipy_openblas*")):
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
             try:
-                setter = getattr(ctypes.CDLL(str(lib)), symbol)
+                dll = ctypes.CDLL(str(lib))
+                get = getattr(dll, f"{prefix}get_num_threads{suffix}")
+                set_ = getattr(dll, f"{prefix}set_num_threads{suffix}")
             except (OSError, AttributeError):
                 continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
+            get.restype = ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _set_blas_threads(count: int):
+    """Set numpy's OpenBLAS to ``count`` threads; return the previous
+    count, or None without a setter.  Run records are byte-identical at one
+    thread and at two, and a second thread only burns CPU in a run."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        return None
+    get, set_ = functions
+    previous = get()
+    set_(count)
+    return previous
 
 
 def _final_state(config: ProtocolConfig, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -665,12 +721,15 @@ def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed) -> MonteC
     more than the repetitions; the CPU affinity set (``taskset``) limits
     them.  Results are stored in seed order, so the statistics do not
     depend on the process count.  With one usable CPU, or where the
-    platform cannot fork, the runs take place in this process.
+    platform cannot fork, the runs take place in this process.  Every run
+    uses one OpenBLAS thread; the serial loop restores the previous count.
     """
     import multiprocessing
 
     if repetitions < 2:
         raise ValueError("need repetitions >= 2")
+    # the sector matrices of the preset, built once here for every child
+    build_model(config.interferometer(), config.probe())
     count = min(repetitions, _usable_cpus())
     seeds = derive_seeds(master_seed, repetitions)
     run = partial(_final_state, config)
@@ -683,10 +742,15 @@ def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed) -> MonteC
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
+                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
             finals = list(pool.map(run, seeds, chunksize=1))
     else:
-        finals = [run(seed) for seed in seeds]
+        previous = _set_blas_threads(1)
+        try:
+            finals = [run(seed) for seed in seeds]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
     estimates, sigmas = (np.array(column, dtype=float) for column in zip(*finals))
     errors = quotient_errors(estimates, config.true_phases, config.phase_group())
     bias = errors.mean(axis=0)

@@ -7,6 +7,7 @@ with Gray-code subset iteration, O(2^k k) for a k x k matrix.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import factorial
 
@@ -97,7 +98,11 @@ def transition_amplitude(u: np.ndarray, input_occ, output_occ) -> complex:
     return permanent(sub) / np.sqrt(norm)
 
 
-_SECTOR_CACHE: dict = {}
+# Sector matrices kept, least recently used evicted first.  The presets use
+# four (u_in and u_out of the three- and four-mode circuits); an evicted
+# matrix stays valid and read-only for whoever holds it.
+SECTOR_CACHE_SIZE = 32
+_SECTOR_CACHE: OrderedDict = OrderedDict()
 
 
 def sector_unitary(u: np.ndarray, n: int) -> np.ndarray:
@@ -105,14 +110,16 @@ def sector_unitary(u: np.ndarray, n: int) -> np.ndarray:
 
     Entry [x, m] is <basis[x]| U |basis[m]> with both indices running over
     enumerate_fock_basis(d, n).  Unitary whenever ``u`` is.  Results are
-    memoized on the matrix bytes since sector matrices are reused heavily,
-    and returned read-only so that no caller can alter the cached copy.
+    memoized on the matrix bytes since sector matrices are reused heavily
+    (the ``SECTOR_CACHE_SIZE`` most recently used), and returned read-only
+    so that no caller can alter the cached copy.
     """
     u = np.ascontiguousarray(u, dtype=complex)
     d = u.shape[0]
     key = (u.tobytes(), d, n)
     hit = _SECTOR_CACHE.get(key)
     if hit is not None:
+        _SECTOR_CACHE.move_to_end(key)
         return hit
     basis = enumerate_fock_basis(d, n)
     size = len(basis)
@@ -122,6 +129,8 @@ def sector_unitary(u: np.ndarray, n: int) -> np.ndarray:
             out[row, col] = transition_amplitude(u, occ_in, occ_out)
     out.flags.writeable = False
     _SECTOR_CACHE[key] = out
+    if len(_SECTOR_CACHE) > SECTOR_CACHE_SIZE:
+        _SECTOR_CACHE.popitem(last=False)
     return out
 
 

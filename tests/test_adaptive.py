@@ -154,7 +154,7 @@ def test_likelihood_peaks_keep_the_truth_for_exact_counts(q1_model):
     # sub-grid step grid_step / 5.
     dist = q1_model.distribution(Q1)
     counts = CountRecord(counts=1000.0 * dist.probs, total=1000.0 * dist.probs.sum())
-    peaks = _likelihood_peaks([(counts, q1_model)], grid_step=0.05)
+    peaks = _likelihood_peaks([(counts, q1_model)])
     group = [np.array(s) for s in THREE_MODE_PHASE_GROUP]
     errors = [np.max(np.abs(quotient_errors(x, Q1, group))) for x, _value in peaks]
     assert min(errors) <= 0.01 + 1e-12
@@ -376,3 +376,173 @@ def test_a_failing_repetition_raises_the_same_error_in_the_pool(monkeypatch):
         assert multiprocessing.active_children() == []
     assert errors[0] == errors[1]
     assert errors[0][0] is ValueError and "phi0" in errors[0][1]
+
+
+PRESETS = [(3, (2.2, 1.0)), (4, (0.7, 1.3))]
+
+
+def _plain_rough_model(modes, phi0):
+    """The controls-at-zero model without a torus table."""
+    config = ProtocolConfig(modes=modes, true_phases=(0.0, 0.0), phi0=phi0)
+    return build_model(config.interferometer(), config.probe(), psis=np.zeros(2))
+
+
+def _same_peaks(got, want):
+    return len(got) == len(want) and all(
+        x.tobytes() == y.tobytes() and v == w for (x, v), (y, w) in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+def test_torus_table_gives_the_uncached_peaks_bit_for_bit(modes, true):
+    config = ProtocolConfig(modes=modes, true_phases=true)
+    cached = adaptive._rough_model(modes, config.phi0)
+    plain = _plain_rough_model(modes, config.phi0)
+    assert cached.torus_log_p.shape == (126**2, len(cached.outcomes))
+    assert not cached.torus_log_p.flags.writeable and not hasattr(plain, "torus_log_p")
+    rng = np.random.default_rng(17)
+    model_b = build_model(config.interferometer(), config.probe(), psis=[0.4, -1.2])
+    counts_b = sample_outcomes(model_b.distribution(true), 500, rng)
+    for _draw in range(2):  # a rough-step retry re-draws batch_a
+        counts_a = sample_outcomes(plain.distribution(true), 500, rng)
+        for rest in ([], [(counts_b, model_b)]):
+            assert _same_peaks(_likelihood_peaks([(counts_a, cached)] + rest),
+                               _likelihood_peaks([(counts_a, plain)] + rest))
+
+
+def _traces_equal(a, b):
+    arrays = lambda t: [t.final_estimate, t.final_sigma] + [  # noqa: E731
+        x for s in t.steps
+        for x in (s.psis, s.counts.counts, s.posterior.mean, s.posterior.sigma, *s.candidates)
+    ]
+    return ([s.retries for s in a.steps] == [s.retries for s in b.steps]
+            and all(x.tobytes() == y.tobytes() for x, y in zip(arrays(a), arrays(b))))
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+def test_run_protocol_with_a_retry_is_the_same_with_and_without_the_table(modes, true, monkeypatch):
+    real_sigma = adaptive._joint_sigma
+    calls = []
+
+    def singular_once(batches, estimate):
+        calls.append(None)
+        return None if len(calls) == 1 else real_sigma(batches, estimate)
+
+    monkeypatch.setattr(adaptive, "_joint_sigma", singular_once)
+    config = ProtocolConfig(modes=modes, true_phases=true)
+    cached = run_protocol(config, 21)
+    assert cached.steps[0].retries == 1
+    calls.clear()
+    monkeypatch.setattr(adaptive, "_rough_model", _plain_rough_model)
+    assert _traces_equal(cached, run_protocol(config, 21))
+
+
+def test_rough_model_cache_keeps_the_presets_used_last():
+    adaptive._rough_model.cache_clear()
+    phis = [0.01 * (k + 1) for k in range(adaptive.ROUGH_CACHE_SIZE + 1)]
+    models = [adaptive._rough_model(4, phi0) for phi0 in phis]
+    assert adaptive._rough_model.cache_info().currsize == adaptive.ROUGH_CACHE_SIZE
+    assert adaptive._rough_model(4, phis[-1]) is models[-1]
+    assert adaptive._rough_model(4, phis[0]) is not models[0]  # evicted, rebuilt
+    assert not models[0].torus_log_p.flags.writeable
+
+
+def test_pooled_monte_carlo_leaves_the_torus_table_to_the_children(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool needs fork")
+    import mmzi.fock as fock
+
+    monkeypatch.setattr(fock, "_SECTOR_CACHE", type(fock._SECTOR_CACHE)())
+    adaptive._rough_model.cache_clear()
+    _with_cpus(monkeypatch, 2)
+    cfg = ProtocolConfig(modes=4, true_phases=(0.7, 1.3), nu=1000)
+    monte_carlo(cfg, 2, master_seed=3)
+    interf = cfg.interferometer()
+    sectors = {(np.ascontiguousarray(u, dtype=complex).tobytes(), 4, 4)
+               for u in (interf.u_in, interf.u_out)}
+    assert sectors <= set(fock._SECTOR_CACHE)
+    assert adaptive._rough_model.cache_info().currsize == 0
+
+
+def test_a_repetition_error_crosses_the_pool(monkeypatch):
+    # every repetition's rough step stays singular: the error is raised in
+    # the worker and must reach the caller as in the serial loop
+    monkeypatch.setattr(adaptive, "_joint_sigma", lambda batches, estimate: None)
+    cfg = ProtocolConfig(modes=3, true_phases=(2.2, 1.0), nu=1000)
+    errors = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(RoughStepError) as info:
+            monte_carlo(cfg, 2, master_seed=4)
+        errors.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"seed {derive_seeds(4, 2)[0]}: ")
+
+
+def test_serial_monte_carlo_runs_at_one_blas_thread_and_restores_the_count(monkeypatch):
+    functions = adaptive._blas_thread_functions()
+    if functions is None:
+        pytest.skip("no OpenBLAS thread setter in numpy's libraries")
+    get, set_ = functions
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS does not take a second thread here")
+        seen = []
+
+        def record_threads(config, seed):
+            seen.append(get())
+            return np.zeros(2), np.ones(2)
+
+        monkeypatch.setattr(adaptive, "_final_state", record_threads)
+        _with_cpus(monkeypatch, 1)
+        monte_carlo(ProtocolConfig(modes=3, true_phases=(2.2, 1.0)), 3, master_seed=1)
+        assert seen == [1, 1, 1]
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+# measured 182 MB above the forked child's starting RSS on a 2-core x86-64
+# Linux machine (numpy 2.4.6); an uncapped window needs several GB
+NU20_PEAK_GROWTH_BUDGET_MB = 300
+
+
+def test_four_mode_nu20_case_finishes_within_a_memory_budget():
+    # the case of test_likelihood_window_is_capped_at_the_torus, end to end:
+    # run in a forked child, whose peak RSS counts from the fork
+    import json
+    import os
+    import resource
+    import sys
+
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads ru_maxrss in KB, a fork's own peak: checked on Linux")
+    cfg = ProtocolConfig(modes=4, true_phases=(0.7, 1.3), phi0=0.01, nu=20)
+    seed = derive_seeds(7, 24)[9]
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report and exit without running pytest's teardown
+        try:
+            os.close(read_end)
+            adaptive._rough_model.cache_clear()  # the table is built in the budget
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            trace = run_protocol(cfg, seed)
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            report = {"growth_mb": (peak - start) / 1024.0,
+                      "estimate": trace.final_estimate.tolist(),
+                      "sigma": trace.final_sigma.tolist()}
+        except BaseException as exc:  # noqa: BLE001 - reported to the parent
+            report = {"error": repr(exc)}
+        with os.fdopen(write_end, "w") as handle:
+            json.dump(report, handle)
+        os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end) as handle:
+        report = json.loads(handle.read() or '{"error": "the child sent nothing"}')
+    os.waitpid(pid, 0)
+    assert "error" not in report, report["error"]
+    assert report["growth_mb"] < NU20_PEAK_GROWTH_BUDGET_MB, report
+    assert np.all(np.isfinite(report["estimate"])) and np.all(np.array(report["sigma"]) > 0)

@@ -1,9 +1,11 @@
 import itertools
+from collections import OrderedDict
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+import mmzi.fock as fock
 from mmzi.fock import (
     enumerate_fock_basis,
     permanent,
@@ -145,3 +147,23 @@ def test_cached_sector_matrices_are_read_only():
     assert sector_unitary(u, 3) is su
     later = build_model(three_mode_mzi(), Probe.fock((1, 1, 1)))
     assert np.array_equal(later.t_out, before)
+
+
+def test_sector_cache_evicts_the_least_recently_used_and_stays_read_only(monkeypatch):
+    monkeypatch.setattr(fock, "SECTOR_CACHE_SIZE", 2)
+    monkeypatch.setattr(fock, "_SECTOR_CACHE", OrderedDict())
+    rng = np.random.default_rng(5)
+    us = [np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+          for _ in range(3)]
+    first, second = sector_unitary(us[0], 2), sector_unitary(us[1], 2)
+    assert sector_unitary(us[0], 2) is first  # a hit makes us[0] the most recent
+    third = sector_unitary(us[2], 2)  # evicts us[1]
+    assert len(fock._SECTOR_CACHE) == 2
+    assert sector_unitary(us[0], 2) is first and sector_unitary(us[2], 2) is third
+    again = sector_unitary(us[1], 2)  # recomputed, evicting us[0]
+    assert again is not second and again.tobytes() == second.tobytes()
+    assert sector_unitary(us[0], 2) is not first
+    for su in (first, second, third, again):
+        assert not su.flags.writeable
+        with pytest.raises(ValueError):
+            su[0, 0] = 99

@@ -205,3 +205,61 @@ def test_coherent_closed_form_matches_the_outcome_sum(interf, probe):
     floored = np.concatenate([_ProbeModel.fim_batch(model, points[k:k + 50])[0]
                               for k in range(0, len(points), 50)])
     assert np.max(np.abs(floored - reference)) > 1e-9 * scale
+
+
+def _reference_theta(model, points):
+    """``_theta`` as a fancy-index add, the formula it replaces."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    theta = np.empty((points.shape[0], len(model.theta_offset)))
+    theta[:] = model.theta_offset
+    theta[:, model.unknown_modes] += points
+    return theta
+
+
+def _reference_fock_prob_batch(model, points, grads):
+    """``FockProbeModel.prob_batch`` with a new array per step."""
+    theta = _reference_theta(model, points)
+    w = np.exp(-1j * (model.occ @ theta.T))
+    v = w * model.t_in[:, None]
+    amps = model.t_out @ v
+    probs = (amps.real**2 + amps.imag**2).T
+    if not grads:
+        return probs, None
+    out = np.empty(probs.shape + (model.n_params,))
+    for j in range(model.n_params):
+        damps = model.t_out @ (v * (-1j * model.gen_occ[j])[:, None])
+        out[:, :, j] = 2.0 * (amps.conj() * damps).real.T
+    return probs, out
+
+
+def _same_array(got, want):
+    return (got is want is None) or (
+        got.shape == want.shape and got.strides == want.strides and got.tobytes() == want.tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "interf,probe",
+    [
+        (THREE, Probe.fock((1, 1, 1))),
+        (FOUR, Probe.fock((1, 1, 1, 1))),
+        # unknown modes neither adjacent nor ascending
+        (Interferometer(u_in=THREE.u_in, u_out=THREE.u_out, unknown_modes=(2, 0)),
+         Probe.fock((1, 1, 1))),
+    ],
+)
+def test_fock_prob_batch_and_theta_match_the_reference_bit_for_bit(interf, probe):
+    rng = np.random.default_rng(31)
+    steps = 126  # the rough-step torus of the adaptive protocol
+    axis = np.arange(steps) * 2 * np.pi / steps
+    torus = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    chunks = np.split(rng.uniform(-7.0, 7.0, (2 * 8192, 2)), 2)
+    singles = [rng.uniform(-7.0, 7.0, 2) for _ in range(20)] + [[0.0, 0.0], [np.pi, -np.pi]]
+    for psis in (None, rng.uniform(-4.0, 4.0, 2)):
+        model = build_model(interf, probe, psis=psis)
+        for points in [torus, *chunks, *singles]:
+            assert _same_array(model._theta(points), _reference_theta(model, points))
+            for grads in (False, True):
+                got = model.prob_batch(points, grads=grads)
+                want = _reference_fock_prob_batch(model, points, grads)
+                assert all(_same_array(g, w) for g, w in zip(got, want)), (len(points), grads)

@@ -35,7 +35,6 @@ only warms the sector matrices the children inherit.  The
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
@@ -45,6 +44,7 @@ from scipy.optimize import minimize
 from .fisher import fisher_matrix, invert_fisher, SingularSupportError
 from .landscape import _local_maxima, _mesh
 from .optics import Interferometer, TWO_PI, four_mode_mzi, three_mode_mzi
+from .parallel import _usable_cpus, fork_map
 from .probes import OutcomeDistribution, Probe, build_model
 
 RUN_RECORD_SCHEMA_VERSION = 1
@@ -110,6 +110,7 @@ class GaussianPrior:
 
     mean: np.ndarray
     sigma: np.ndarray
+    log_norm: np.ndarray = field(init=False, repr=False)  # log(sqrt(2pi) sigma)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -120,12 +121,11 @@ class GaussianPrior:
             raise ValueError("prior sigmas must be positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "log_norm", np.log(np.sqrt(TWO_PI) * sigma))
 
     def log_density(self, phases) -> float:
         delta = wrap_angle(np.asarray(phases, dtype=float) - self.mean)
-        return float(
-            np.sum(-0.5 * (delta / self.sigma) ** 2 - np.log(np.sqrt(TWO_PI) * self.sigma))
-        )
+        return float(np.sum(-0.5 * (delta / self.sigma) ** 2 - self.log_norm))
 
 
 @dataclass(frozen=True)
@@ -662,48 +662,6 @@ class MonteCarloStats:
     master_seed: object = None
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, so ``taskset -c 0`` runs monte_carlo serially in-process."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_thread_functions():
-    """(get, set) of the thread count of numpy's OpenBLAS, or None where
-    they are not found."""
-    import ctypes
-    from pathlib import Path
-
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*")):
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-            try:
-                dll = ctypes.CDLL(str(lib))
-                get = getattr(dll, f"{prefix}get_num_threads{suffix}")
-                set_ = getattr(dll, f"{prefix}set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.restype = ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-def _set_blas_threads(count: int):
-    """Set numpy's OpenBLAS to ``count`` threads; return the previous
-    count, or None without a setter.  Run records are byte-identical at one
-    thread and at two, and a second thread only burns CPU in a run."""
-    functions = _blas_thread_functions()
-    if functions is None:
-        return None
-    get, set_ = functions
-    previous = get()
-    set_(count)
-    return previous
-
-
 def _final_state(config: ProtocolConfig, seed) -> tuple[np.ndarray, np.ndarray]:
     """(final_estimate, final_sigma) of one run: all a pool worker sends back."""
     trace = run_protocol(config, seed)
@@ -724,33 +682,12 @@ def monte_carlo(config: ProtocolConfig, repetitions: int, master_seed) -> MonteC
     platform cannot fork, the runs take place in this process.  Every run
     uses one OpenBLAS thread; the serial loop restores the previous count.
     """
-    import multiprocessing
-
     if repetitions < 2:
         raise ValueError("need repetitions >= 2")
     # the sector matrices of the preset, built once here for every child
     build_model(config.interferometer(), config.probe())
-    count = min(repetitions, _usable_cpus())
-    seeds = derive_seeds(master_seed, repetitions)
-    run = partial(_final_state, config)
-    # fork, not spawn: a spawned child re-imports __main__, which breaks
-    # scripts that call monte_carlo at top level, and starts with cold
-    # caches.  The pool forks every worker before its manager thread starts.
-    # Checked on Python 3.11; on 3.12+ each fork warns (DeprecationWarning)
-    # because numpy's OpenBLAS threads are already running in this process.
-    if count > 1 and "fork" in multiprocessing.get_all_start_methods():
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
-                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
-            finals = list(pool.map(run, seeds, chunksize=1))
-    else:
-        previous = _set_blas_threads(1)
-        try:
-            finals = [run(seed) for seed in seeds]
-        finally:
-            if previous is not None:
-                _set_blas_threads(previous)
+    finals = fork_map(partial(_final_state, config), derive_seeds(master_seed, repetitions),
+                      min(repetitions, _usable_cpus()))
     estimates, sigmas = (np.array(column, dtype=float) for column in zip(*finals))
     errors = quotient_errors(estimates, config.true_phases, config.phase_group())
     bias = errors.mean(axis=0)

@@ -6,6 +6,14 @@ A cell is flagged singular when the 2x2 information matrix fails the shared
 condition-number/determinant thresholds, or when some outcome probability
 vanishes with a non-vanishing gradient (diverging information).  Singular
 cells carry NaN metrics and are legitimate values, not errors.
+
+A scan's ``SCAN_CHUNK`` chunks, and the simplex polishes of the working
+points, are independent tasks.  This process runs the first; the rest go to
+forked children, one per usable CPU at one OpenBLAS thread each
+(``parallel.fork_map``), only when the first task's time times their number
+exceeds ``FORK_PAYS_S``, and run here otherwise.  Chunk boundaries do not
+depend on the process count and results are kept in input order, so grids
+and working points are the same bytes however many processes ran them.
 """
 
 from __future__ import annotations
@@ -14,12 +22,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import fisher
 from .optics import Interferometer, TWO_PI
+from .parallel import _usable_cpus, fork_map
 from .probes import Probe, build_model
 
 GRID_SCHEMA_VERSION = 1
@@ -28,6 +38,27 @@ CSV_COLUMNS = ("phi1", "phi2", "tr_finv", "finv11", "finv22", "detF", "singular"
 
 SCAN_CHUNK = 8192  # phase points per fim_batch call of a scan
 WORKPOINT_DEDUP_TOL = 1e-3  # working points closer than this (radians) merge
+# serial seconds the tasks after the first must be estimated to take before
+# they go to forked children: well above the ~0.06 s that starting and
+# joining two children costs (measured on a 2-core x86-64 Linux machine)
+FORK_PAYS_S = 0.25
+# one CSV cell in csv.writer's default (excel) dialect: no field written
+# here contains a delimiter, quote or line break, so none is quoted
+_CSV_CELL = ",".join(["%.17g"] * 6 + ["%d"]) + "\r\n"
+
+
+def _map_tasks(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, in input order.  This process runs
+    the first task; the rest go to forked children (one per usable CPU, at
+    most one per task) only when the first task's time times their number
+    exceeds ``FORK_PAYS_S``, and otherwise run here as well."""
+    start = perf_counter()
+    results = [fn(item) for item in items[:1]]
+    rest = items[1:]
+    processes = min(len(rest), _usable_cpus())
+    if processes > 1 and (perf_counter() - start) * len(rest) > FORK_PAYS_S:
+        return results + fork_map(fn, rest, processes)
+    return results + [fn(item) for item in rest]
 
 
 def _fim_components(model, points):
@@ -118,8 +149,8 @@ def scan_grid(interf: Interferometer, probe: Probe, resolution: int = 256) -> La
     model = build_model(interf, probe)
     axis = np.arange(resolution) * TWO_PI / resolution
     points = _mesh([axis, axis])
-    chunks = [_inverse_metrics(model, points[start:start + SCAN_CHUNK])
-              for start in range(0, len(points), SCAN_CHUNK)]
+    chunks = _map_tasks(lambda start: _inverse_metrics(model, points[start:start + SCAN_CHUNK]),
+                        list(range(0, len(points), SCAN_CHUNK)))
     tr, i11, i22, det, singular = (
         np.concatenate(part).reshape(resolution, resolution) for part in zip(*chunks)
     )
@@ -201,21 +232,20 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
         )
         return [corner] if corner is not None else []
     candidates = _grid_local_minima(grid)
-    points: list[WorkingPoint] = []
-    for i, j in candidates:
-        if grid.model is None:
-            points.append(cell(i, j))
-            continue
-        x0 = np.array([grid.phi1[i], grid.phi2[j]])
-        result = minimize(
-            _trace_objective(grid.model),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": refine_tol, "fatol": 1e-12, "maxiter": 600},
-        )
-        wp = _metrics_at(grid.model, result.x)
-        if wp is not None:
-            points.append(wp)
+    if grid.model is None:
+        points = [cell(i, j) for i, j in candidates]
+    else:
+        def polish(candidate) -> WorkingPoint | None:
+            i, j = candidate
+            result = minimize(
+                _trace_objective(grid.model),
+                np.array([grid.phi1[i], grid.phi2[j]]),
+                method="Nelder-Mead",
+                options={"xatol": refine_tol, "fatol": 1e-12, "maxiter": 600},
+            )
+            return _metrics_at(grid.model, result.x)
+
+        points = [wp for wp in _map_tasks(polish, candidates) if wp is not None]
     points.sort(key=lambda w: w.tr_finv)
     kept: list[WorkingPoint] = []
     for wp in points:
@@ -261,15 +291,13 @@ def stability_region(interf: Interferometer, probe: Probe, center, delta: float,
     )
 
 
-def _grid_rows(grid: LandscapeGrid):
-    """Cells as lists of Python scalars in ``CSV_COLUMNS`` order, built one
-    phi1 row at a time, phi2 varying fastest."""
+def _grid_blocks(grid: LandscapeGrid):
+    """One float array [n2, 7] per phi1 row, columns in ``CSV_COLUMNS``
+    order (singular as 0.0 or 1.0), phi2 varying fastest."""
     n2 = len(grid.phi2)
     for i, a in enumerate(grid.phi1):
-        block = np.column_stack([np.full(n2, a), grid.phi2, grid.tr_finv[i], grid.finv11[i],
-                                 grid.finv22[i], grid.det_f[i]]).tolist()
-        for cell, singular in zip(block, grid.singular[i].tolist()):
-            yield cell + [int(singular)]
+        yield np.column_stack([np.full(n2, a), grid.phi2, grid.tr_finv[i], grid.finv11[i],
+                               grid.finv22[i], grid.det_f[i], grid.singular[i]])
 
 
 def export_grid(grid: LandscapeGrid, path, fmt: str = "csv") -> None:
@@ -277,15 +305,24 @@ def export_grid(grid: LandscapeGrid, path, fmt: str = "csv") -> None:
     phi1,phi2,tr_finv,finv11,finv22,detF,singular with phi2 varying fastest.
     Singular cells leave their metric fields empty and set singular=1."""
     if fmt == "csv":
+        row_format = _CSV_CELL * len(grid.phi2)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)
-            for cell in _grid_rows(grid):
-                writer.writerow([f"{x:.17g}" if math.isfinite(x) else "" for x in cell[:-1]]
-                                + cell[-1:])
+            for block in _grid_blocks(grid):
+                if np.isfinite(block).all():
+                    handle.write(row_format % tuple(block.ravel().tolist()))
+                    continue
+                for cell in block.tolist():  # singular cells leave fields empty
+                    if all(map(math.isfinite, cell)):
+                        handle.write(_CSV_CELL % tuple(cell))
+                    else:
+                        writer.writerow([f"{x:.17g}" if math.isfinite(x) else ""
+                                         for x in cell[:-1]] + [int(cell[-1])])
     elif fmt == "json":
         cells = [dict(zip(CSV_COLUMNS, [x if math.isfinite(x) else None for x in cell[:-1]]
-                          + cell[-1:])) for cell in _grid_rows(grid)]
+                          + [int(cell[-1])]))
+                 for block in _grid_blocks(grid) for cell in block.tolist()]
         doc = {
             "schema_version": GRID_SCHEMA_VERSION,
             "resolution": list(grid.resolution),

@@ -4,8 +4,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmzi.adaptive as adaptive
+from mmzi import parallel
 from mmzi.adaptive import (
     THREE_MODE_PHASE_GROUP,
     FOUR_MODE_PHASE_GROUP,
@@ -28,7 +31,7 @@ from mmzi.adaptive import (
     wrap_angle,
     write_run_record,
 )
-from mmzi.optics import four_mode_mzi, three_mode_mzi
+from mmzi.optics import TWO_PI, four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe, build_model
 
 THREE = three_mode_mzi()
@@ -43,6 +46,20 @@ def q1_model():
 def test_gaussian_prior_validation():
     with pytest.raises(ValueError):
         GaussianPrior(mean=[0.0, 0.0], sigma=[0.1, -0.1])
+
+
+angle = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(angle, angle), st.tuples(angle, angle),
+       st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0)))
+def test_prior_log_density_is_the_per_call_formula_bit_for_bit(mean, at, sigma):
+    prior = GaussianPrior(mean=mean, sigma=sigma)
+    delta = wrap_angle(np.asarray(at, dtype=float) - prior.mean)
+    want = float(np.sum(-0.5 * (delta / prior.sigma) ** 2
+                        - np.log(np.sqrt(TWO_PI) * prior.sigma)))
+    assert prior.log_density(at) == want
 
 
 def test_count_record_total_enforced():
@@ -481,7 +498,8 @@ def test_a_repetition_error_crosses_the_pool(monkeypatch):
 
 
 def test_serial_monte_carlo_runs_at_one_blas_thread_and_restores_the_count(monkeypatch):
-    functions = adaptive._blas_thread_functions()
+    functions = parallel._blas_thread_functions()
+    assert parallel._blas_thread_functions() is functions  # looked up once per process
     if functions is None:
         pytest.skip("no OpenBLAS thread setter in numpy's libraries")
     get, set_ = functions

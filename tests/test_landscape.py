@@ -1,10 +1,15 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmzi.fisher import fisher_matrix, invert_fisher
 from mmzi.landscape import (
+    CSV_COLUMNS,
     LandscapeGrid,
     _classify_2x2,
     circular_distance,
@@ -205,6 +210,60 @@ def test_export_load_export_is_byte_identical(tmp_path, singular_grid64, fmt):
     assert first.read_bytes() == second.read_bytes()
     for name in ("phi1", "phi2", "tr_finv", "finv11", "finv22", "det_f", "singular"):
         assert np.array_equal(getattr(back, name), getattr(singular_grid64, name), equal_nan=True)
+
+
+def _reference_csv(grid, path):
+    """The CSV writer as it was: one csv.writer row per cell, each float
+    formatted with ``f"{x:.17g}"`` and non-finite values left empty."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        n2 = len(grid.phi2)
+        for i, a in enumerate(grid.phi1):
+            block = np.column_stack([np.full(n2, a), grid.phi2, grid.tr_finv[i], grid.finv11[i],
+                                     grid.finv22[i], grid.det_f[i]]).tolist()
+            for cell, singular in zip(block, grid.singular[i].tolist()):
+                writer.writerow([f"{x:.17g}" if math.isfinite(x) else "" for x in cell]
+                                + [int(singular)])
+
+
+def _assert_csv_is_the_reference(grid, tmp_path):
+    export_grid(grid, tmp_path / "grid.csv")
+    _reference_csv(grid, tmp_path / "reference.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def coherent_grid64():
+    return scan_grid(THREE, Probe.coherent(math.sqrt(3.0)), resolution=64)
+
+
+@pytest.mark.parametrize("name", ["grid64", "singular_grid64", "coherent_grid64"])
+def test_csv_is_the_csv_writer_output_on_scanned_grids(tmp_path, request, name):
+    _assert_csv_is_the_reference(request.getfixturevalue(name), tmp_path)
+
+
+def test_csv_is_the_csv_writer_output_on_special_values(tmp_path):
+    nan, inf = math.nan, math.inf
+    # row 0 is finite; row 1 holds a singular cell, a subnormal cell and an
+    # infinite but non-singular cell
+    tr, i11, i22, det = np.array([
+        [[1.0 / 3.0, 1e308, -0.0], [nan, 5e-324, inf]],
+        [[1e-5, -1e308, 0.0], [nan, 2.2250738585072014e-308, 1.0]],
+        [[123456789.0, -2.2250738585072014e-308, 5e-324], [nan, -0.0, -inf]],
+        [[1e308, 1.0, 7.0], [nan, 1e-320, 3.0]],
+    ])
+    grid = LandscapeGrid(
+        phi1=np.array([-0.0, 5e-324]), phi2=np.array([0.0, 1e-300, 1e308]),
+        tr_finv=tr, finv11=i11, finv22=i22, det_f=det,
+        singular=np.array([[False] * 3, [True, False, False]]), model=None,
+    )
+    _assert_csv_is_the_reference(grid, tmp_path)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_percent_and_format_spec_give_the_same_digits(x):
+    assert "%.17g" % x == f"{x:.17g}"
 
 
 def _write_csv(path, lines):

@@ -39,7 +39,7 @@ CSV_COLUMNS = ("phi1", "phi2", "tr_finv", "finv11", "finv22", "detF", "singular"
 SCAN_CHUNK = 8192  # phase points per fim_batch call of a scan
 WORKPOINT_DEDUP_TOL = 1e-3  # working points closer than this (radians) merge
 # serial seconds the tasks after the first must be estimated to take before
-# they go to forked children: well above the ~0.06 s that starting and
+# they go to forked children: well above the 0.02-0.06 s that starting and
 # joining two children costs (measured on a 2-core x86-64 Linux machine)
 FORK_PAYS_S = 0.25
 # one CSV cell in csv.writer's default (excel) dialect: no field written

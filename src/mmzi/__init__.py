@@ -17,7 +17,6 @@ from .fock import (
     enumerate_fock_basis,
     permanent,
     sector_unitary,
-    single_mode_sector_state,
     transition_amplitude,
 )
 from .probes import (
@@ -37,7 +36,6 @@ from .fisher import (
     mmzi_separable_spec,
     qfim_for_probe,
     qfim_pure,
-    qfim_sector_mixture,
     separable_bounds,
 )
 from .landscape import (
@@ -75,7 +73,6 @@ __all__ = [
     "enumerate_fock_basis",
     "permanent",
     "sector_unitary",
-    "single_mode_sector_state",
     "transition_amplitude",
     "OutcomeDistribution",
     "Probe",
@@ -91,7 +88,6 @@ __all__ = [
     "mmzi_separable_spec",
     "qfim_for_probe",
     "qfim_pure",
-    "qfim_sector_mixture",
     "separable_bounds",
     "LandscapeGrid",
     "StabilityReport",

@@ -74,9 +74,6 @@ CONFIG_SCHEMA = {
         "resolution": (256, _whole(64), "an integer >= 64"),
         "refine_tol": (1e-5, _positive, "a positive number"),
     },
-    "tolerances": {
-        "refine_tol": (1e-5, _positive, "a positive number"),
-    },
 }
 
 DEFAULT_CONFIG = {section: {key: spec[0] for key, spec in keys.items()}
@@ -165,7 +162,7 @@ def cmd_scan(config: dict) -> int:
     interf, probe = _build_circuit(config["circuit"])
     grid = scan_grid(interf, probe, resolution=int(config["scan"]["resolution"]))
     export_grid(grid, out, fmt=config["scan"]["format"])
-    points = find_working_points(grid, refine_tol=float(config["tolerances"]["refine_tol"]))
+    points = find_working_points(grid, refine_tol=float(config["workpoints"]["refine_tol"]))
     print(f"grid written to {out}")
     print(f"min tr_finv: {grid.min_trace():.6f}")
     print(f"singular cells: {grid.singular_count()} of {grid.resolution[0] * grid.resolution[1]}")
@@ -179,15 +176,11 @@ def cmd_scan(config: dict) -> int:
 
 def cmd_bounds(config: dict) -> int:
     interf, probe = _build_circuit(config["circuit"])
-    n_particles = interf.d  # one photon per mode for fock/distinguishable
-    if probe.kind == "coherent":
-        n_particles = probe.alpha**2
+    # the mean photon number bounds a probe without a fixed one
+    n_particles = probe.alpha**2 if probe.kind == "coherent" else probe.total_photons
     fq = qfim_for_probe(interf, probe)
     inv = invert_fisher(fq)
-    spec = mmzi_separable_spec(
-        n_particles=int(round(n_particles)), n_params=interf.n_params
-    )
-    bounds = separable_bounds(spec)
+    bounds = separable_bounds(mmzi_separable_spec(n_particles, interf.n_params))
     doc = {
         "schema_version": OUTPUT_SCHEMA_VERSION,
         "config": config,

@@ -4,9 +4,12 @@ and the qudit-entanglement witness.
 The classical matrix is F_ij = sum_x (1/p) (dp/dphi_i)(dp/dphi_j).  For
 pure states evolved by commuting number-operator generators the quantum
 matrix is four times the covariance matrix of the generating number
-operators; number-sector mixtures decompose into weighted sums of their
-pure-sector matrices because number-conserving evolution never mixes
-sectors.
+operators.  Product probes have a closed form: one photon entering mode k
+reaches mode j with probability q_j = |u_in[j, k]|^2, so its matrix is
+4 (diag q - q q^T); distinguishable photons add theirs, and coherent light
+without a phase reference (a Poisson mixture of n-photon product states,
+each worth n single photons) gives <N> = alpha^2 times the one-photon
+matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from .fock import basis_index, enumerate_fock_basis, sector_unitary, single_mode_sector_state
-from .probes import ZERO_GRAD, ZERO_PROB, OutcomeDistribution, Probe, coherent_cutoff
+from .fock import basis_index, enumerate_fock_basis, sector_unitary
+from .probes import ZERO_GRAD, ZERO_PROB, OutcomeDistribution, Probe
 from .optics import Interferometer
 
 # Shared singularity thresholds for inverting 2x2 and larger matrices.
@@ -128,29 +130,20 @@ def qfim_pure(state: np.ndarray, basis, generator_modes) -> FisherMatrix:
     return FisherMatrix(4.0 * _number_covariance(state, occ, generator_modes), kind="quantum")
 
 
-def qfim_sector_mixture(sector_weights, sector_states, sector_bases, generator_modes) -> FisherMatrix:
-    """QFIM of an incoherent mixture of pure states living in distinct
-    photon-number sectors: the weighted sum of the per-sector pure QFIMs."""
-    weights = np.asarray(sector_weights, dtype=float)
-    if len(weights) != len(sector_states) or len(weights) != len(sector_bases):
-        raise ValueError("weight/state/basis count mismatch")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"sector weights sum to {weights.sum()}, not 1")
-    n = len(tuple(generator_modes))
-    total = np.zeros((n, n))
-    for w, state, basis in zip(weights, sector_states, sector_bases):
-        total += w * qfim_pure(state, basis, generator_modes).matrix
-    return FisherMatrix(total, kind="quantum")
+def _one_photon_qfim(interf: Interferometer, mode: int) -> np.ndarray:
+    """QFIM of one photon entering ``mode``: 4 (diag q - q q^T) with q_j the
+    probability that it reaches the j-th unknown-phase mode."""
+    q = np.abs(interf.u_in[list(interf.unknown_modes), mode]) ** 2
+    return 4.0 * (np.diag(q) - np.outer(q, q))
 
 
-def qfim_for_probe(interf: Interferometer, probe: Probe,
-                   sector_tail: float = 1e-12) -> FisherMatrix:
+def qfim_for_probe(interf: Interferometer, probe: Probe) -> FisherMatrix:
     """QFIM of any supported probe through an interferometer preset.
 
     Fock: pure-state covariance after the entrance splitter.
     Distinguishable: sum of independent single-photon QFIMs (additivity).
-    Coherent without a phase reference: Poisson mixture over photon-number
-    sectors, truncated at tail mass ``sector_tail``.
+    Coherent without a phase reference: alpha^2 times the single-photon
+    QFIM of ``input_mode``.
     """
     modes = interf.unknown_modes
     if probe.kind == "fock":
@@ -159,22 +152,14 @@ def qfim_for_probe(interf: Interferometer, probe: Probe,
         state = sector_unitary(interf.u_in, n)[:, basis_index(interf.d, n)[probe.occupations]]
         return qfim_pure(state, basis, modes)
     if probe.kind == "distinguishable":
-        basis1 = enumerate_fock_basis(interf.d, 1)
         total = np.zeros((len(modes), len(modes)))
         for mode, count in enumerate(probe.occupations):
-            if count == 0:
-                continue
-            state = single_mode_sector_state(interf.u_in, mode, 1)
-            total += count * qfim_pure(state, basis1, modes).matrix
+            if count:
+                total += count * _one_photon_qfim(interf, mode)
         return FisherMatrix(total, kind="quantum")
     if probe.kind == "coherent":
-        mean = probe.alpha**2
-        ns = np.arange(coherent_cutoff(mean, sector_tail) + 1)
-        weights = np.exp(xlogy(ns, mean) - gammaln(ns + 1) - mean)  # Poisson pmf
-        weights = weights / weights.sum()
-        states = [single_mode_sector_state(interf.u_in, probe.input_mode, int(n)) for n in ns]
-        bases = [enumerate_fock_basis(interf.d, int(n)) for n in ns]
-        return qfim_sector_mixture(weights, states, bases, modes)
+        return FisherMatrix(probe.alpha**2 * _one_photon_qfim(interf, probe.input_mode),
+                            kind="quantum")
     raise ValueError(f"unsupported probe kind {probe.kind!r}")
 
 
@@ -182,12 +167,15 @@ def qfim_for_probe(interf: Interferometer, probe: Probe,
 class SeparableBoundSpec:
     """Sensitivity limits for N-particle qudit-separable probes.
 
-    ``g_max[j]`` / ``g_min[j]`` are the extreme eigenvalues of the
-    single-particle generator of parameter j (0 and 1 for a photon that is
-    either absent from or present in the generating mode).
+    ``n_particles`` is the (mean) photon number N, any N > 0: the bounds
+    are linear in N, so a probe without a fixed photon number, such as
+    coherent light, is bounded at its mean.  ``g_max[j]`` / ``g_min[j]``
+    are the extreme eigenvalues of the single-particle generator of
+    parameter j (0 and 1 for a photon that is either absent from or
+    present in the generating mode).
     """
 
-    n_particles: int
+    n_particles: float
     g_max: tuple[float, ...]
     g_min: tuple[float, ...]
 
@@ -196,8 +184,8 @@ class SeparableBoundSpec:
         object.__setattr__(self, "g_min", tuple(float(x) for x in self.g_min))
         if len(self.g_max) != len(self.g_min):
             raise ValueError("g_max and g_min lengths differ")
-        if self.n_particles < 1:
-            raise ValueError("need N >= 1")
+        if not self.n_particles > 0:
+            raise ValueError("need N > 0")
         if any(hi <= lo for hi, lo in zip(self.g_max, self.g_min)):
             raise ValueError("need g_max > g_min for every parameter")
 
@@ -206,7 +194,7 @@ class SeparableBoundSpec:
         return len(self.g_max)
 
 
-def mmzi_separable_spec(n_particles: int, n_params: int) -> SeparableBoundSpec:
+def mmzi_separable_spec(n_particles: float, n_params: int) -> SeparableBoundSpec:
     """Bound spec for phase generators that count photons in one arm."""
     return SeparableBoundSpec(
         n_particles=n_particles,

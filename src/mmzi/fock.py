@@ -133,33 +133,3 @@ def sector_unitary(u: np.ndarray, n: int) -> np.ndarray:
         _SECTOR_CACHE.popitem(last=False)
     return out
 
-
-def single_mode_sector_state(u: np.ndarray, mode: int, n: int) -> np.ndarray:
-    """Amplitudes of U |n photons in one mode> over the n-photon basis.
-
-    For n indistinguishable photons entering a single mode the output is a
-    product state, so the amplitude on occupation x is the multinomial
-    expression sqrt(n!/prod x_i!) prod_i u[i, mode]^x_i -- no permanents
-    needed, which keeps large-n photon-number sectors cheap.
-    """
-    u = np.asarray(u, dtype=complex)
-    col = u[:, mode]
-    basis = enumerate_fock_basis(u.shape[0], n)
-    occ = np.array(basis, dtype=float)
-    log_norm = np.array(
-        [0.5 * (_log_factorial(n) - sum(_log_factorial(x) for x in s)) for s in basis]
-    )
-    # prod col^x via logs would lose phases; do it directly (n is modest).
-    amps = np.empty(len(basis), dtype=complex)
-    for i, s in enumerate(basis):
-        val = 1.0 + 0.0j
-        for j, x in enumerate(s):
-            if x:
-                val *= col[j] ** x
-        amps[i] = val * np.exp(log_norm[i])
-    return amps
-
-
-@lru_cache(maxsize=None)
-def _log_factorial(n: int) -> float:
-    return float(np.sum(np.log(np.arange(1, n + 1)))) if n > 1 else 0.0

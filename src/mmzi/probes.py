@@ -110,28 +110,17 @@ class OutcomeDistribution:
     """Photon-counting statistics at one phase setting.
 
     ``outcomes[k]`` is an occupation tuple, ``probs[k]`` its probability and
-    ``grads[k, j]`` = d probs[k] / d phi_j.  ``mass_tol`` is the tolerance
-    on sum(probs) == 1: exact-photon-number probes satisfy 1e-10, coherent
-    probes are truncated at their configured tail mass.
+    ``grads[k, j]`` = d probs[k] / d phi_j.  The model that produced it
+    states, as ``mass_tol``, how far sum(probs) may miss 1.
     """
 
     outcomes: tuple[tuple[int, ...], ...]
     probs: np.ndarray
     grads: np.ndarray
-    mass_tol: float = PROB_SUM_TOL
 
     @property
     def n_params(self) -> int:
         return self.grads.shape[1]
-
-    def validate(self):
-        if np.any(self.probs < -1e-14):
-            raise ValueError("negative probability")
-        if abs(self.probs.sum() - 1.0) > self.mass_tol:
-            raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
-        if np.max(np.abs(self.grads.sum(axis=0))) > self.mass_tol:
-            raise ValueError("gradient components do not sum to zero")
-        return self
 
 
 def _support_bad(probs, grads):
@@ -162,7 +151,7 @@ class _ProbeModel:
     ``prob_batch(points, grads=True)``, is in the module docstring."""
 
     kind = ""
-    mass_tol = PROB_SUM_TOL
+    mass_tol = PROB_SUM_TOL  # how far sum(probs) may miss 1
 
     def __init__(self, interf: Interferometer, probe: Probe, psis=None):
         if probe.kind != self.kind:
@@ -201,7 +190,6 @@ class _ProbeModel:
             outcomes=self.basis,
             probs=probs[0],
             grads=grads[0],
-            mass_tol=self.mass_tol,
         )
 
     def fim_batch(self, points: np.ndarray):

@@ -51,6 +51,29 @@ def test_bounds_three_mode_distinguishable(capsys, tmp_path):
     assert abs(doc["qfim_trace_inv"] - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("alpha,trace_min", [(0.5, 8.0), (1.5, 2.0 / 2.25)])
+def test_bounds_coherent_separable_limit_at_the_mean_photon_number(capsys, tmp_path,
+                                                                  alpha, trace_min):
+    # N = alpha^2, not rounded: 0.25 photons would round to N = 0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"circuit": {"probe": "coherent", "alpha": alpha}}))
+    code, out, _ = run_cli(capsys, ["bounds", "--config", str(config)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["separable"]["trace_min"] == pytest.approx(trace_min, rel=1e-15)
+    assert doc["separable"]["f_jj_max"] == pytest.approx([alpha**2] * 2, rel=1e-15)
+    assert doc["qfim_trace_inv"] == pytest.approx(1.0 / alpha**2 * 3.0, rel=1e-14)
+
+
+def test_tolerances_section_is_gone(capsys, tmp_path):
+    # its one key, refine_tol, is workpoints.refine_tol
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"tolerances": {"refine_tol": 1e-5}}))
+    code, _, err = run_cli(capsys, ["scan", "--config", str(config), "--out", str(tmp_path / "g.csv")])
+    assert code == 1
+    assert "unknown config key 'tolerances'" in err
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"circuit": {"modess": 3}}))

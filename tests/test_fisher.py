@@ -1,5 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
+from scipy.special import gammaln
 
 from mmzi.fisher import (
     FisherMatrix,
@@ -10,11 +16,10 @@ from mmzi.fisher import (
     mmzi_separable_spec,
     qfim_for_probe,
     qfim_pure,
-    qfim_sector_mixture,
     separable_bounds,
 )
-from mmzi.fock import enumerate_fock_basis, sector_unitary, single_mode_sector_state
-from mmzi.optics import four_mode_mzi, three_mode_mzi
+from mmzi.fock import enumerate_fock_basis, transition_amplitude
+from mmzi.optics import TWO_PI, four_mode_mzi, three_mode_mzi
 from mmzi.probes import OutcomeDistribution, Probe, build_model
 
 THREE = three_mode_mzi()
@@ -128,20 +133,118 @@ def test_distinguishable_qfim_closed_form():
     assert np.allclose(fq.matrix, expected, atol=1e-12)
 
 
-def test_qfim_sector_mixture_single_sector():
-    basis = enumerate_fock_basis(3, 3)
-    state = sector_unitary(THREE.u_in, 3)[:, 0]
-    state = state / np.linalg.norm(state)
-    direct = qfim_pure(state, basis, (0, 1))
-    mixed = qfim_sector_mixture([1.0], [state], [basis], (0, 1))
-    assert np.allclose(direct.matrix, mixed.matrix)
+def sector_qfim_of_product_photons(interf, occupations):
+    """The sector formula the closed form replaced: one pure-state QFIM of
+    U_in |one photon in mode k> per photon, summed in mode order."""
+    basis = enumerate_fock_basis(interf.d, 1)
+    modes = interf.unknown_modes
+    total = np.zeros((len(modes), len(modes)))
+    for mode, count in enumerate(occupations):
+        if count == 0:
+            continue
+        state = np.array([transition_amplitude(interf.u_in, basis[mode], occ)
+                          for occ in basis])
+        total += count * qfim_pure(state, basis, modes).matrix
+    return total
 
 
-def test_qfim_sector_mixture_weight_mismatch():
-    basis = enumerate_fock_basis(3, 1)
-    state = single_mode_sector_state(THREE.u_in, 0, 1)
-    with pytest.raises(ValueError):
-        qfim_sector_mixture([0.6, 0.6], [state, state], [basis, basis], (0, 1))
+def one_mode_sector_state(u, mode, n):
+    """U |n photons in ``mode``> over the n-photon basis: the product-state
+    multinomial sqrt(n! / prod x_i!) prod_i u[i, mode]^x_i."""
+    occ = np.array(enumerate_fock_basis(u.shape[0], n))
+    log_norm = 0.5 * (gammaln(n + 1) - gammaln(occ + 1).sum(axis=1))
+    return np.exp(log_norm) * np.prod(u[:, mode] ** occ, axis=1)
+
+
+def poisson_sector_mixture_qfim(interf, alpha, mode):
+    """Poisson-weighted sum of the pure-sector QFIMs of a coherent probe
+    without a phase reference, cut where the Poisson tail is below 1e-16."""
+    mean = alpha**2
+    n_max = int(sps.poisson.isf(1e-16, mean)) + 1
+    total = 0.0
+    for n in range(n_max + 1):
+        state = one_mode_sector_state(interf.u_in, mode, n)
+        basis = enumerate_fock_basis(interf.d, n)
+        total = total + sps.poisson.pmf(n, mean) * qfim_pure(state, basis, interf.unknown_modes).matrix
+    return total
+
+
+def test_one_mode_sector_state_matches_permanents():
+    # the sector states that the Poisson mixture below is built from
+    u = THREE.u_in
+    for n, mode in itertools.product([1, 2, 3], range(3)):
+        basis = enumerate_fock_basis(3, n)
+        probe = tuple(n if i == mode else 0 for i in range(3))
+        expected = np.array([transition_amplitude(u, probe, occ) for occ in basis])
+        state = one_mode_sector_state(u, mode, n)
+        assert np.allclose(state, expected, atol=1e-12)
+        assert np.isclose(np.linalg.norm(state), 1.0)
+
+
+@pytest.mark.parametrize(
+    "interf,occupations",
+    [(THREE, (1, 1, 1)), (THREE, (2, 0, 1)), (THREE, (0, 3, 1)),
+     (FOUR, (1, 1, 1, 1)), (FOUR, (2, 0, 1, 0)), (FOUR, (0, 3, 0, 1))],
+)
+def test_distinguishable_qfim_is_the_sector_formula_bit_for_bit(interf, occupations):
+    fq = qfim_for_probe(interf, Probe.distinguishable(occupations)).matrix
+    assert np.array_equal(fq, sector_qfim_of_product_photons(interf, occupations))
+
+
+@pytest.mark.parametrize("alpha", [0.5, np.sqrt(3.0), 2.0])
+@pytest.mark.parametrize("interf", [THREE, FOUR])
+def test_coherent_qfim_is_the_poisson_sector_mixture(interf, alpha):
+    for mode in range(interf.d):
+        fq = qfim_for_probe(interf, Probe.coherent(alpha, input_mode=mode)).matrix
+        mixture = poisson_sector_mixture_qfim(interf, alpha, mode)
+        assert np.max(np.abs(fq - mixture)) <= 1e-10 * np.max(np.abs(mixture))
+
+
+@pytest.mark.parametrize(
+    "interf,alpha,expected", [(THREE, np.sqrt(3.0), 1.0), (FOUR, 2.0, 0.75)]
+)
+def test_coherent_qfim_trace_inverse_is_exact(interf, alpha, expected):
+    fq = qfim_for_probe(interf, Probe.coherent(alpha))
+    assert abs(invert_fisher(fq).trace_inverse() - expected) <= 1e-15
+
+
+def coherent_classical_fim(interf, alpha, mode, phis):
+    """Independent Poisson counts with means mu_i = |beta_i|^2, where
+    beta = alpha U(phis) e_mode: F = sum_i dmu_i dmu_i^T / mu_i."""
+    u = interf.unitary(phis)
+    beta = alpha * u[:, mode]
+    # d U / d phi_j = u_out (-i P_m) diag(e^-i theta) u_in, with m the j-th unknown mode
+    inner = interf.u_out.conj().T @ u[:, mode]
+    dbeta = np.stack([-1j * alpha * interf.u_out[:, m] * inner[m]
+                      for m in interf.unknown_modes], axis=1)
+    dmu = 2.0 * (beta.conj()[:, None] * dbeta).real
+    keep = np.abs(beta) > 0  # a dark mode has dmu = 0 too
+    return (dmu[keep] / np.abs(beta[keep, None]) ** 2).T @ dmu[keep]
+
+
+@pytest.mark.parametrize("interf,alpha", [(THREE, np.sqrt(3.0)), (FOUR, 2.0)])
+def test_coherent_classical_fim_helper_matches_the_model(interf, alpha):
+    points = np.random.default_rng(3).uniform(0, TWO_PI, (5, 2))
+    for mode in range(interf.d):
+        model = build_model(interf, Probe.coherent(alpha, input_mode=mode))
+        f_model, _ = model.fim_batch(points)
+        for point, expected in zip(points, f_model):
+            got = coherent_classical_fim(interf, alpha, mode, point)
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([THREE, FOUR]), st.floats(0.05, 10.0), st.integers(0, 3),
+       st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)))
+def test_coherent_qfim_is_alpha_squared_one_photons_and_bounds_the_counts(
+        interf, alpha, mode, phis):
+    mode %= interf.d
+    fq = qfim_for_probe(interf, Probe.coherent(alpha, input_mode=mode)).matrix
+    e_mode = tuple(int(i == mode) for i in range(interf.d))
+    one = qfim_for_probe(interf, Probe.distinguishable(e_mode)).matrix
+    np.testing.assert_allclose(fq, alpha**2 * one, rtol=1e-14, atol=0.0)
+    f = coherent_classical_fim(interf, alpha, mode, np.array(phis))
+    assert np.min(np.linalg.eigvalsh(fq - f)) >= -1e-9 * alpha**2
 
 
 def test_separable_bound_values():
@@ -154,6 +257,13 @@ def test_separable_bound_values():
     assert np.allclose(b4.inv_diag_min, 0.25)
     b1 = separable_bounds(mmzi_separable_spec(1, 1))
     assert np.allclose(b1.f_jj_max, 1.0)
+    # coherent light is bounded at its mean photon number alpha^2
+    b_quarter = separable_bounds(mmzi_separable_spec(0.25, 2))
+    assert np.array_equal(b_quarter.f_jj_max, [0.25, 0.25])
+    assert b_quarter.trace_min == 8.0
+    for bad in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="need N > 0"):
+            mmzi_separable_spec(bad, 2)
 
 
 def test_witness_flags_entangled_fock_probe():

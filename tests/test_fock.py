@@ -10,7 +10,6 @@ from mmzi.fock import (
     enumerate_fock_basis,
     permanent,
     sector_unitary,
-    single_mode_sector_state,
     transition_amplitude,
 )
 from mmzi.optics import multiport_unitary, three_mode_mzi
@@ -123,17 +122,6 @@ def test_sector_matrix_matches_brute_force():
     q, _ = np.linalg.qr(z)
     su = sector_unitary(q, 2)
     assert np.allclose(su, brute_force_sector_matrix(q, 2), atol=1e-12)
-
-
-def test_single_mode_sector_state_matches_permanents():
-    u = multiport_unitary(3, "tritter")
-    for n in [1, 2, 3]:
-        state = single_mode_sector_state(u, 0, n)
-        basis = enumerate_fock_basis(3, n)
-        probe = tuple(n if i == 0 else 0 for i in range(3))
-        expected = np.array([transition_amplitude(u, probe, occ) for occ in basis])
-        assert np.allclose(state, expected, atol=1e-12)
-        assert np.isclose(np.linalg.norm(state), 1.0)
 
 
 def test_cached_sector_matrices_are_read_only():

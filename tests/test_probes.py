@@ -53,7 +53,6 @@ def test_probability_conservation_and_gradient_sum(interf, probe):
     for _ in range(25):
         phis = rng.uniform(0, 2 * np.pi, 2)
         dist = model.distribution(phis)
-        dist.validate()
         assert abs(dist.probs.sum() - 1.0) < 1e-10
         assert np.max(np.abs(dist.grads.sum(axis=0))) < 1e-10
 
@@ -63,7 +62,6 @@ def test_coherent_conservation_at_truncation_tolerance():
     model = build_model(THREE, Probe.coherent(np.sqrt(3.0)))
     for _ in range(10):
         dist = model.distribution(rng.uniform(0, 2 * np.pi, 2))
-        dist.validate()
         assert abs(dist.probs.sum() - 1.0) < 2e-8
 
 
@@ -157,8 +155,8 @@ def test_models_check_probe_kind_and_mode_count():
         build_model(THREE, Probe.fock((1, 1, 1, 1)))
     with pytest.raises(ValueError, match="mode count"):
         build_model(THREE, Probe.distinguishable((1, 1)))
-    fock = build_model(THREE, Probe.fock((1, 1, 1))).distribution([0.4, 1.3])
-    coherent = build_model(THREE, Probe.coherent(np.sqrt(3.0))).distribution([0.4, 1.3])
+    fock = build_model(THREE, Probe.fock((1, 1, 1)))
+    coherent = build_model(THREE, Probe.coherent(np.sqrt(3.0)))
     assert fock.mass_tol == 1e-10
     assert coherent.mass_tol == 2e-8
 

@@ -45,7 +45,7 @@ from .fisher import fisher_matrix, invert_fisher, SingularSupportError
 from .landscape import _local_maxima, _mesh
 from .optics import Interferometer, TWO_PI, four_mode_mzi, three_mode_mzi
 from .parallel import _usable_cpus, fork_map
-from .probes import OutcomeDistribution, Probe, build_model
+from .probes import OutcomeDistribution, Probe, build_model, stacked_fock_probs
 
 RUN_RECORD_SCHEMA_VERSION = 1
 
@@ -177,8 +177,20 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
 def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     """Summed flat-prior data log-likelihood of (counts, model) batches
     at points [n_pts, n_params]; -inf where an observed outcome has zero
-    probability."""
+    probability.  At one point, Fock models on shared sector matrices (the
+    models of one run) are evaluated together by ``stacked_fock_probs``
+    and logged in one call.  The bits are the loop's: log is element-wise,
+    and a 1-D product with the counts is the same dot as the loop's
+    [1, n_obs] one."""
     points = np.mod(points, TWO_PI)
+    probs = stacked_fock_probs([m for _, m in batches], points[0]) if len(points) == 1 else None
+    if probs is not None:
+        with np.errstate(divide="ignore"):
+            log_p = np.log(probs, out=probs)
+        value = 0.0
+        for k, (counts, _) in enumerate(batches):
+            value += log_p[k].take(counts.observed) @ counts.observed_counts
+        return np.array([value])
     total = np.zeros(len(points))
     with np.errstate(divide="ignore"):
         for counts, model in batches:
@@ -264,6 +276,23 @@ def _rough_model(modes: int, phi0: float):
     return model
 
 
+def _distinct_peaks(candidates):
+    """The first ``PEAK_KEEP`` rows of ``candidates`` [n, n_params] (best
+    first) that lie at least ``PEAK_DEDUP_RADIUS`` (wrapped max norm) from
+    every row kept before them; each candidate takes one ``wrap_angle`` over
+    the kept rows."""
+    kept = np.empty((PEAK_KEEP, candidates.shape[1]))
+    n_kept = 0
+    for x0 in candidates:
+        if np.any(np.max(np.abs(wrap_angle(x0 - kept[:n_kept])), axis=1) < PEAK_DEDUP_RADIUS):
+            continue
+        kept[n_kept] = x0
+        n_kept += 1
+        if n_kept == PEAK_KEEP:
+            break
+    return kept[:n_kept]
+
+
 def _likelihood_peaks(batches):
     """Local maxima of the joint flat-prior likelihood of one or more
     (counts, model) batches over the ``_torus`` grid, sharpened on a
@@ -290,18 +319,10 @@ def _likelihood_peaks(batches):
             data += log_p[:, counts.observed] @ counts.observed_counts
     data = data.reshape([steps] * n_params)
     flat_idx = np.flatnonzero(_local_maxima(data))
-    order = flat_idx[np.argsort(data.ravel()[flat_idx])[::-1]]
-    coarse = []
-    for idx in order:
-        x0 = points[idx]
-        if any(np.max(np.abs(wrap_angle(x0 - c))) < PEAK_DEDUP_RADIUS for c in coarse):
-            continue
-        coarse.append(x0)
-        if len(coarse) >= PEAK_KEEP:
-            break
+    coarse = _distinct_peaks(points[flat_idx[np.argsort(data.ravel()[flat_idx])[::-1]]])
     # one batched sub-grid pass sharpens every peak position
     local = _mesh([np.arange(-2, 3) * (ROUGH_GRID_STEP / 5.0)] * n_params)
-    sub_points = (np.asarray(coarse)[:, None, :] + local[None, :, :]).reshape(-1, n_params)
+    sub_points = (coarse[:, None, :] + local[None, :, :]).reshape(-1, n_params)
     sub_values = _joint_loglik_batch(batches, sub_points).reshape(len(coarse), -1)
     peaks = []
     for k in range(len(coarse)):

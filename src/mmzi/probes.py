@@ -35,10 +35,21 @@ so the two sector matrices are computed once and every phase point costs a
 pair of small matrix-vector products.  Differentiating the phase factor
 pulls down ``-i m_k`` for the mode k carrying the parameter, giving the
 gradients from the same precomputation.
+
+Fock models of one circuit and probe share both sector matrices by
+identity: ``t_out`` is the cached matrix and ``t_in`` one cached view of its
+column.  ``stacked_fock_probs`` evaluates such models, each with its own
+controls, at one phase point as a [K, n_states, 1] stack; the adaptive
+likelihood takes it for every one-point evaluation of Fock models that
+share them, which every run's models do.  The bits equal those of one
+``prob_batch`` call per model, because numpy's stacked matmul runs each
+layer as the same matrix-vector product and every other step is
+element-wise.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
@@ -200,6 +211,21 @@ class _ProbeModel:
         return _weighted_gram(w, grads), _support_bad(probs, grads)
 
 
+# Input columns of the cached sector matrices, one view per (matrix, column)
+# while any model holds it, so that the models of one circuit and probe share
+# ``t_in`` by identity.  A live view keeps its matrix, and so the id in its
+# key, alive.
+_INPUT_COLUMNS = weakref.WeakValueDictionary()
+
+
+def _input_column(sector, col):
+    key = (id(sector), col)
+    column = _INPUT_COLUMNS.get(key)
+    if column is None:
+        column = _INPUT_COLUMNS[key] = sector[:, col]
+    return column
+
+
 class FockProbeModel(_ProbeModel):
     """Exact evolution of an indistinguishable-photon probe."""
 
@@ -212,7 +238,7 @@ class FockProbeModel(_ProbeModel):
         self.basis = enumerate_fock_basis(d, n)
         self.occ = np.array(self.basis, dtype=float)  # [n_states, d]
         probe_idx = basis_index(d, n)[probe.occupations]
-        self.t_in = sector_unitary(interf.u_in, n)[:, probe_idx]  # <m|U_in|probe>
+        self.t_in = _input_column(sector_unitary(interf.u_in, n), probe_idx)  # <m|U_in|probe>
         self._t_in_col = self.t_in[:, None]
         self.t_out = sector_unitary(interf.u_out, n)  # [x, m]
         # occupation of the generating mode per intermediate state, one row per parameter
@@ -239,6 +265,31 @@ class FockProbeModel(_ProbeModel):
             np.multiply(np.conjugate(amps, out=scaled), damps, out=damps)
             np.multiply(2.0, damps.real.T, out=out[:, :, j])
         return probs, out
+
+
+def stacked_fock_probs(models, point):
+    """Outcome probabilities [K, n_out] of K models at one point [n_params]
+    of unknown phases, as one stacked computation; None unless every model
+    is a Fock model on the first one's sector matrices (``t_in`` and
+    ``t_out``, two ``is`` tests per model).  Row k is bit for bit
+    ``models[k].prob_batch(point[None, :], grads=False)[0][0]``."""
+    first = models[0] if models else None
+    if not isinstance(first, FockProbeModel):
+        return None
+    t_in, t_out = first.t_in, first.t_out
+    rows = []
+    for m in models:
+        if getattr(m, "t_in", None) is not t_in or m.t_out is not t_out:
+            return None
+        row = m.theta_offset.copy()
+        row[m.unknown_modes] = point + m._unknown_offset
+        rows.append(row)
+    # each layer of the [K, n_states, 1] stack is the one-point call's
+    # matrix-vector product; a [n_states, K] matrix product would not be
+    w = -1j * np.matmul(first.occ, np.array(rows)[:, :, None])
+    v = np.multiply(np.exp(w, out=w), first._t_in_col, out=w)
+    amps = np.matmul(t_out, v)[:, :, 0]
+    return amps.real**2 + amps.imag**2
 
 
 class DistinguishableProbeModel(_ProbeModel):

@@ -16,6 +16,7 @@ from mmzi.adaptive import (
     GaussianPrior,
     ProtocolConfig,
     RoughStepError,
+    _joint_loglik_batch,
     _joint_sigma,
     _likelihood_peaks,
     _polish,
@@ -31,8 +32,8 @@ from mmzi.adaptive import (
     wrap_angle,
     write_run_record,
 )
-from mmzi.optics import TWO_PI, four_mode_mzi, three_mode_mzi
-from mmzi.probes import Probe, build_model
+from mmzi.optics import TWO_PI, Interferometer, four_mode_mzi, three_mode_mzi
+from mmzi.probes import Probe, build_model, stacked_fock_probs
 
 THREE = three_mode_mzi()
 Q1 = np.array([0.8920298, 2.1908384])
@@ -564,3 +565,144 @@ def test_four_mode_nu20_case_finishes_within_a_memory_budget():
     assert "error" not in report, report["error"]
     assert report["growth_mb"] < NU20_PEAK_GROWTH_BUDGET_MB, report
     assert np.all(np.isfinite(report["estimate"])) and np.all(np.array(report["sigma"]) > 0)
+
+
+def _loop_loglik(batches, points):
+    """``_joint_loglik_batch`` as one ``prob_batch`` call per model: the
+    formula the stacked one-point path reproduces."""
+    points = np.mod(points, TWO_PI)
+    total = np.zeros(len(points))
+    with np.errstate(divide="ignore"):
+        for counts, model in batches:
+            p = model.prob_batch(points, grads=False)[0][:, counts.observed]
+            total += np.log(p, out=p) @ counts.observed_counts
+    return total
+
+
+def _random_batches(config, k, rng):
+    true = config.true_phases
+    models = [build_model(config.interferometer(), config.probe(), psis=rng.uniform(-4.0, 4.0, 2))
+              for _ in range(k)]
+    return [(sample_outcomes(m.distribution(true), int(rng.integers(50, 5000)), rng), m)
+            for m in models]
+
+
+def _assert_one_point_values_match_the_loop(batches, rng, stacked):
+    models = [m for _, m in batches]
+    points = [*rng.uniform(-7.0, 7.0, (60, 2)), [0.0, 0.0], [TWO_PI, -np.pi]]
+    for x in np.array(points)[:, None, :]:
+        assert (stacked_fock_probs(models, np.mod(x, TWO_PI)[0]) is not None) == stacked
+        got, want = _joint_loglik_batch(batches, x), _loop_loglik(batches, x)
+        assert got.shape == want.shape == (1,) and got.tobytes() == want.tobytes(), x
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_stacked_one_point_likelihood_is_the_model_loop_bit_for_bit(modes, true, k):
+    rng = np.random.default_rng(100 * modes + k)
+    batches = _random_batches(ProtocolConfig(modes=modes, true_phases=true), k, rng)
+    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+    # several points take the loop, one prob_batch call per model
+    points = rng.uniform(-7.0, 7.0, (7, 2))
+    assert _joint_loglik_batch(batches, points).tobytes() == _loop_loglik(batches, points).tobytes()
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+def test_stacked_one_point_likelihood_with_the_rough_model(modes, true):
+    # the cached rough model carries torus_log_p and shares the preset's
+    # sector matrices with every model a run builds
+    config = ProtocolConfig(modes=modes, true_phases=true)
+    rough = adaptive._rough_model(modes, config.phi0)
+    assert hasattr(rough, "torus_log_p")
+    rng = np.random.default_rng(23)
+    batches = [(sample_outcomes(rough.distribution(true), 500, rng), rough),
+               *_random_batches(config, 2, rng)]
+    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+
+
+def test_stacked_one_point_likelihood_takes_each_models_unknown_modes_and_controls():
+    # same splitters, so the same sector matrices: unknown modes in another
+    # order and another fixed control still stack
+    swapped = Interferometer(u_in=THREE.u_in, u_out=THREE.u_out, unknown_modes=(2, 0))
+    rng = np.random.default_rng(29)
+    batches = [(sample_outcomes(m.distribution([0.7, 1.3]), 900, rng), m) for m in (
+        build_model(THREE, Probe.fock((1, 1, 1)), psis=[0.3, -0.4]),
+        build_model(swapped, Probe.fock((1, 1, 1)), psis=[1.1, 2.5]),
+    )]
+    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+    batches = [(sample_outcomes(m.distribution([0.7, 1.3]), 900, rng), m) for m in (
+        build_model(four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), psis=[0.3, -0.4]),
+        build_model(four_mode_mzi(0.5), Probe.fock((1, 1, 1, 1)), psis=[1.1, 2.5]),
+    )]
+    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+
+
+def test_models_without_shared_sector_matrices_take_the_loop():
+    rng = np.random.default_rng(31)
+    fock = build_model(THREE, Probe.fock((1, 1, 1)), psis=[0.3, -0.4])
+    # another exit splitter (t_in shared, t_out not) and another probe of
+    # the same photon number (t_out shared, t_in not)
+    other_circuit = Interferometer(u_in=THREE.u_in, u_out=THREE.u_out.conj(), unknown_modes=(0, 1))
+    for model in (build_model(THREE, Probe.distinguishable((1, 1, 1)), psis=[0.2, 0.9]),
+                  build_model(other_circuit, Probe.fock((1, 1, 1)), psis=[0.2, 0.9]),
+                  build_model(THREE, Probe.fock((2, 1, 0)), psis=[0.2, 0.9])):
+        for pair in ([model, fock], [fock, model]):
+            batches = [(sample_outcomes(m.distribution([0.7, 1.3]), 400, rng), m) for m in pair]
+            _assert_one_point_values_match_the_loop(batches, rng, stacked=False)
+
+
+def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
+    eye = np.eye(3, dtype=complex)
+    interf = Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1))
+    models = [build_model(interf, Probe.fock((1, 1, 1)), psis=psis) for psis in ([0.0, 0.0], [0.5, 1.0])]
+    alive = CountRecord(counts=5 * np.array([occ == (1, 1, 1) for occ in models[0].outcomes]),
+                        total=5)
+    dead = alive.counts.copy()
+    dead[next(k for k, occ in enumerate(models[0].outcomes) if occ != (1, 1, 1))] = 1
+    dead = CountRecord(counts=dead, total=6)
+    x = np.array([[0.3, 0.4]])
+    assert stacked_fock_probs(models, x[0]) is not None
+    assert np.isfinite(_joint_loglik_batch([(alive, models[0]), (alive, models[1])], x)[0])
+    for batches in ([(alive, models[0]), (dead, models[1])], [(dead, models[0]), (alive, models[1])]):
+        assert _joint_loglik_batch(batches, x)[0] == -np.inf == _loop_loglik(batches, x)[0]
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+def test_adaptive_runs_take_the_stacked_one_point_likelihood(modes, true, monkeypatch):
+    # a later change to how a run builds its models could make them stop
+    # sharing sector matrices and silently lose the stacked path
+    results = []
+
+    def spy(models, point):
+        out = stacked_fock_probs(models, point)
+        results.append(out is not None)
+        return out
+
+    monkeypatch.setattr(adaptive, "stacked_fock_probs", spy)
+    run_protocol(ProtocolConfig(modes=modes, true_phases=true), 5)
+    assert len(results) > 100 and results.count(False) == 0
+
+
+def _loop_distinct_peaks(candidates):
+    """``_distinct_peaks`` as the generator over kept peaks it replaces."""
+    coarse = []
+    for x0 in candidates:
+        if any(np.max(np.abs(wrap_angle(x0 - c))) < adaptive.PEAK_DEDUP_RADIUS for c in coarse):
+            continue
+        coarse.append(x0)
+        if len(coarse) >= adaptive.PEAK_KEEP:
+            break
+    return np.array(coarse)
+
+
+@pytest.mark.parametrize("n_candidates,spread", [(1, 0.1), (5, 0.2), (40, 0.6), (300, TWO_PI)])
+def test_distinct_peaks_keep_what_the_loop_keeps(n_candidates, spread):
+    rng = np.random.default_rng(n_candidates)
+    # candidates on the rough grid around the wrap point 0 = 2pi, where the
+    # wrapped distance matters, and at exact multiples of the radius
+    grid = np.round(rng.uniform(-spread, spread, (n_candidates, 2)) / 0.05) * 0.05
+    candidates = np.mod(np.concatenate([grid, grid[:3] + adaptive.PEAK_DEDUP_RADIUS]), TWO_PI)
+    got = adaptive._distinct_peaks(candidates)
+    want = _loop_distinct_peaks(candidates)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(got) <= adaptive.PEAK_KEEP

@@ -32,6 +32,26 @@ def test_protocol_final_estimate_and_sigma(modes, true_phases, seed, estimate, s
     np.testing.assert_allclose(trace.final_sigma, sigma, rtol=0, atol=ATOL)
 
 
+# float.hex of (final_estimate, final_sigma) for master seed 1, two
+# repetitions per preset: a byte that moves on the likelihood path fails here
+# in the quick tier, not only in the acceptance Monte Carlo.
+HEX_PINS = {
+    3: [(("0x1.be70ed26e1c1ap-4", "0x1.8b8c5318b47b1p+1"), ("0x1.60c84acbc9541p-8", "0x1.6a11b93826551p-8")),
+        (("0x1.aa5cf4bff57dep-4", "0x1.8ace0aaccd072p+1"), ("0x1.6031d0dcd546cp-8", "0x1.6b64705291139p-8"))],
+    4: [(("0x1.67983cea5b089p-1", "0x1.4d579ff416bd3p+0"), ("0x1.206f5045159f0p-8", "0x1.1fa5a9c2cc332p-8")),
+        (("0x1.ebdedb1025f6cp+1", "0x1.1bdf75eaf6df4p+2"), ("0x1.20b7634a409bbp-8", "0x1.1fcd2fa9bfc82p-8"))],
+}
+
+
+@pytest.mark.parametrize("modes,true_phases", [(3, (2.2, 1.0)), (4, (0.7, 1.3))])
+@pytest.mark.parametrize("repetition", [0, 1])
+def test_protocol_final_state_is_pinned_to_the_bit(modes, true_phases, repetition):
+    config = ProtocolConfig(modes=modes, true_phases=true_phases, nu=10000)
+    trace = run_protocol(config, SEEDS[repetition])
+    got = tuple(tuple(float(x).hex() for x in v) for v in (trace.final_estimate, trace.final_sigma))
+    assert got == HEX_PINS[modes][repetition]
+
+
 @pytest.mark.parametrize("master_seed,repetition", [(19, 24), (50, 1)])
 def test_four_mode_mirror_basin_repetitions_reach_the_truth(master_seed, repetition):
     # These repetitions of the 48-repetition four-mode run (bench workload

@@ -39,13 +39,13 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fisher import fisher_matrix, invert_fisher, SingularSupportError
 from .landscape import _local_maxima, _mesh
 from .optics import Interferometer, TWO_PI, four_mode_mzi, three_mode_mzi
 from .parallel import _usable_cpus, fork_map
 from .probes import OutcomeDistribution, Probe, build_model, stacked_fock_probs
+from .simplex import nelder_mead
 
 RUN_RECORD_SCHEMA_VERSION = 1
 
@@ -125,7 +125,7 @@ class GaussianPrior:
 
     def log_density(self, phases) -> float:
         delta = wrap_angle(np.asarray(phases, dtype=float) - self.mean)
-        return float(np.sum(-0.5 * (delta / self.sigma) ** 2 - self.log_norm))
+        return float((-0.5 * (delta / self.sigma) ** 2 - self.log_norm).sum())
 
 
 @dataclass(frozen=True)
@@ -174,25 +174,38 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
     return value + float(_joint_loglik_batch([(counts, model)], phases[None, :])[0])
 
 
+def _stacked_loglik(batches):
+    """The summed flat-prior data log-likelihood of (counts, model) batches
+    as a function of one point [n_params], -inf where an observed outcome
+    has zero probability; None unless the models share sector matrices
+    (``stacked_fock_probs``, built here once).  The bits are those of one
+    ``prob_batch`` call per model: log is element-wise, and a 1-D product
+    with the counts is the same dot as the loop's [1, n_obs] one."""
+    probs_at = stacked_fock_probs([m for _, m in batches])
+    if probs_at is None:
+        return None
+    observed = [(counts.observed, counts.observed_counts) for counts, _ in batches]
+
+    def loglik(point):  # callers ignore the divide warning of log(0) = -inf
+        log_p = np.log(probs_at(np.mod(point, TWO_PI)))
+        value = 0.0
+        for row, (index, weights) in zip(log_p, observed):
+            value += row.take(index) @ weights
+        return value
+
+    return loglik
+
+
 def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     """Summed flat-prior data log-likelihood of (counts, model) batches
     at points [n_pts, n_params]; -inf where an observed outcome has zero
     probability.  At one point, Fock models on shared sector matrices (the
-    models of one run) are evaluated together by ``stacked_fock_probs``
-    and logged in one call.  The bits are the loop's: log is element-wise,
-    and a 1-D product with the counts is the same dot as the loop's
-    [1, n_obs] one."""
-    points = np.mod(points, TWO_PI)
-    probs = stacked_fock_probs([m for _, m in batches], points[0]) if len(points) == 1 else None
-    if probs is not None:
-        with np.errstate(divide="ignore"):
-            log_p = np.log(probs, out=probs)
-        value = 0.0
-        for k, (counts, _) in enumerate(batches):
-            value += log_p[k].take(counts.observed) @ counts.observed_counts
-        return np.array([value])
-    total = np.zeros(len(points))
+    models of one run) are evaluated together by ``_stacked_loglik``."""
     with np.errstate(divide="ignore"):
+        if len(points) == 1 and (loglik := _stacked_loglik(batches)) is not None:
+            return np.array([loglik(points[0])])
+        points = np.mod(points, TWO_PI)
+        total = np.zeros(len(points))
         for counts, model in batches:
             p = model.prob_batch(points, grads=False)[0][:, counts.observed]
             total += np.log(p, out=p) @ counts.observed_counts
@@ -223,13 +236,9 @@ def _joint_sigma(batches, estimate):
 
 def _polish(objective, x0):
     """Nelder-Mead minimum of ``objective`` from ``x0``: (x, -objective(x))."""
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": REFINE_TOL, "fatol": 1e-10, "maxiter": 400},
-    )
-    return result.x, -result.fun
+    with np.errstate(divide="ignore"):  # a log-likelihood's log(0) = -inf
+        x, fun = nelder_mead(objective, x0, xatol=REFINE_TOL, fatol=1e-10, maxiter=400)
+    return x, -fun
 
 
 def _window_peaks(batches, mean, sigma, step, top=1):
@@ -540,13 +549,15 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
             for hyp in hypotheses
         ]
         lead = max(v for _, v in window_peaks)
+        # log_likelihood less its prior; a run's models always stack
+        loglik = _stacked_loglik([(counts, model)])
         for hyp, (x0, grid_value) in zip(hypotheses, window_peaks):
             prior = GaussianPrior(hyp.mean, hyp.sigma)
             if grid_value < lead - PRUNE_MARGIN:
                 hyp.mean = np.mod(x0, TWO_PI)
                 hyp.score += grid_value + prior.log_density(x0)
                 continue
-            x, value = _polish(lambda x: -log_likelihood(counts, prior, x, model), x0)
+            x, value = _polish(lambda x: -(prior.log_density(x) + loglik(x)), x0)
             try:
                 fim = fisher_matrix(model.distribution(np.mod(x, TWO_PI))).matrix
                 sigma_post = _width(np.diag(1.0 / hyp.sigma**2) + nu_step * fim)
@@ -614,9 +625,10 @@ def _joint_refit(collected, hypotheses, anchors, rough_centers, group):
     likelihood.
     """
     n = len(hypotheses[0].mean)
+    loglik = _stacked_loglik(collected)  # the models of one run always stack
 
     def objective(x):
-        return -_joint_loglik_batch(collected, x[None, :])[0]
+        return -loglik(x)
 
     seeds = []
     for hyp in hypotheses:

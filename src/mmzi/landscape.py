@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import fisher
 from .optics import Interferometer, TWO_PI
 from .parallel import _usable_cpus, fork_map
 from .probes import Probe, build_model
+from .simplex import nelder_mead
 
 GRID_SCHEMA_VERSION = 1
 
@@ -237,13 +237,10 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
     else:
         def polish(candidate) -> WorkingPoint | None:
             i, j = candidate
-            result = minimize(
-                _trace_objective(grid.model),
-                np.array([grid.phi1[i], grid.phi2[j]]),
-                method="Nelder-Mead",
-                options={"xatol": refine_tol, "fatol": 1e-12, "maxiter": 600},
-            )
-            return _metrics_at(grid.model, result.x)
+            x, _fun = nelder_mead(_trace_objective(grid.model),
+                                  np.array([grid.phi1[i], grid.phi2[j]]),
+                                  xatol=refine_tol, fatol=1e-12, maxiter=600)
+            return _metrics_at(grid.model, x)
 
         points = [wp for wp in _map_tasks(polish, candidates) if wp is not None]
     points.sort(key=lambda w: w.tr_finv)

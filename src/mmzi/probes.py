@@ -38,13 +38,13 @@ gradients from the same precomputation.
 
 Fock models of one circuit and probe share both sector matrices by
 identity: ``t_out`` is the cached matrix and ``t_in`` one cached view of its
-column.  ``stacked_fock_probs`` evaluates such models, each with its own
-controls, at one phase point as a [K, n_states, 1] stack; the adaptive
-likelihood takes it for every one-point evaluation of Fock models that
-share them, which every run's models do.  The bits equal those of one
-``prob_batch`` call per model, because numpy's stacked matmul runs each
-layer as the same matrix-vector product and every other step is
-element-wise.
+column.  For such models, each with its own controls, ``stacked_fock_probs``
+builds once a function that evaluates them at one phase point as a
+[K, n_states, 1] stack; the adaptive likelihood takes it for every
+one-point evaluation of Fock models that share them, which every run's
+models do.  The bits equal those of one ``prob_batch`` call per model,
+because numpy's stacked matmul runs each layer as the same matrix-vector
+product and every other step is element-wise.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial
+from math import exp, factorial, lgamma, log
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary
 from .optics import Interferometer
@@ -267,29 +266,36 @@ class FockProbeModel(_ProbeModel):
         return probs, out
 
 
-def stacked_fock_probs(models, point):
-    """Outcome probabilities [K, n_out] of K models at one point [n_params]
-    of unknown phases, as one stacked computation; None unless every model
-    is a Fock model on the first one's sector matrices (``t_in`` and
-    ``t_out``, two ``is`` tests per model).  Row k is bit for bit
+def stacked_fock_probs(models):
+    """``probs_at(point)``: the outcome probabilities [K, n_out] of K models
+    at one point [n_params] of unknown phases, as one stacked computation;
+    None unless every model is a Fock model on the first one's sector
+    matrices (``t_in`` and ``t_out``, two ``is`` tests per model, made here
+    once).  Row k is bit for bit
     ``models[k].prob_batch(point[None, :], grads=False)[0][0]``."""
     first = models[0] if models else None
     if not isinstance(first, FockProbeModel):
         return None
     t_in, t_out = first.t_in, first.t_out
-    rows = []
-    for m in models:
-        if getattr(m, "t_in", None) is not t_in or m.t_out is not t_out:
-            return None
-        row = m.theta_offset.copy()
-        row[m.unknown_modes] = point + m._unknown_offset
-        rows.append(row)
-    # each layer of the [K, n_states, 1] stack is the one-point call's
-    # matrix-vector product; a [n_states, K] matrix product would not be
-    w = -1j * np.matmul(first.occ, np.array(rows)[:, :, None])
-    v = np.multiply(np.exp(w, out=w), first._t_in_col, out=w)
-    amps = np.matmul(t_out, v)[:, :, 0]
-    return amps.real**2 + amps.imag**2
+    if any(getattr(m, "t_in", None) is not t_in or m.t_out is not t_out for m in models):
+        return None
+    # per-mode phases [K, d]: the fixed controls, with the unknown modes of
+    # row k (flat indices ``unknown``) written as point + its offset at each call
+    theta = np.array([m.theta_offset for m in models])
+    unknown = np.concatenate([k * theta.shape[1] + m.unknown_modes for k, m in enumerate(models)])
+    offsets = np.array([m._unknown_offset for m in models])
+    stack = theta[:, :, None]
+
+    def probs_at(point):
+        theta.put(unknown, point + offsets)
+        # each layer of the [K, n_states, 1] stack is the one-point call's
+        # matrix-vector product; a [n_states, K] matrix product would not be
+        w = -1j * np.matmul(first.occ, stack)
+        v = np.multiply(np.exp(w, out=w), first._t_in_col, out=w)
+        amps = np.matmul(t_out, v)[:, :, 0]
+        return amps.real**2 + amps.imag**2
+
+    return probs_at
 
 
 class DistinguishableProbeModel(_ProbeModel):
@@ -367,10 +373,23 @@ class DistinguishableProbeModel(_ProbeModel):
         return dist, grad
 
 
+def _poisson_tail(n: int, mean: float) -> float:
+    """P(X > n) for X ~ Poisson(mean) and n + 1 >= mean, where the terms
+    only fall: summed from k = n + 1 until a term no longer moves the sum."""
+    k = n + 1
+    term = exp(-mean + k * log(mean) - lgamma(k + 1))
+    total = 0.0
+    while term > 1e-17 * total:
+        total += term
+        k += 1
+        term *= mean / k
+    return total
+
+
 def coherent_cutoff(mean_photons: float, tail: float = DEFAULT_COHERENT_TAIL) -> int:
     """Smallest total photon number whose Poisson tail mass is below ``tail``."""
     n_max = int(mean_photons)
-    while pdtrc(n_max, mean_photons) >= tail:
+    while _poisson_tail(n_max, mean_photons) >= tail:
         n_max += 1
     return n_max
 

@@ -591,7 +591,7 @@ def _assert_one_point_values_match_the_loop(batches, rng, stacked):
     models = [m for _, m in batches]
     points = [*rng.uniform(-7.0, 7.0, (60, 2)), [0.0, 0.0], [TWO_PI, -np.pi]]
     for x in np.array(points)[:, None, :]:
-        assert (stacked_fock_probs(models, np.mod(x, TWO_PI)[0]) is not None) == stacked
+        assert (stacked_fock_probs(models) is not None) == stacked
         got, want = _joint_loglik_batch(batches, x), _loop_loglik(batches, x)
         assert got.shape == want.shape == (1,) and got.tobytes() == want.tobytes(), x
 
@@ -661,7 +661,7 @@ def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
     dead[next(k for k, occ in enumerate(models[0].outcomes) if occ != (1, 1, 1))] = 1
     dead = CountRecord(counts=dead, total=6)
     x = np.array([[0.3, 0.4]])
-    assert stacked_fock_probs(models, x[0]) is not None
+    assert stacked_fock_probs(models) is not None
     assert np.isfinite(_joint_loglik_batch([(alive, models[0]), (alive, models[1])], x)[0])
     for batches in ([(alive, models[0]), (dead, models[1])], [(dead, models[0]), (alive, models[1])]):
         assert _joint_loglik_batch(batches, x)[0] == -np.inf == _loop_loglik(batches, x)[0]
@@ -671,16 +671,21 @@ def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
 def test_adaptive_runs_take_the_stacked_one_point_likelihood(modes, true, monkeypatch):
     # a later change to how a run builds its models could make them stop
     # sharing sector matrices and silently lose the stacked path
-    results = []
+    built, results = [], []
 
-    def spy(models, point):
-        out = stacked_fock_probs(models, point)
-        results.append(out is not None)
-        return out
+    def spy(models):
+        probs_at = stacked_fock_probs(models)
+        built.append(probs_at is not None)
+
+        def counted(point):
+            results.append(True)
+            return probs_at(point)
+
+        return None if probs_at is None else counted
 
     monkeypatch.setattr(adaptive, "stacked_fock_probs", spy)
     run_protocol(ProtocolConfig(modes=modes, true_phases=true), 5)
-    assert len(results) > 100 and results.count(False) == 0
+    assert built.count(False) == 0 and len(results) > 100
 
 
 def _loop_distinct_peaks(candidates):

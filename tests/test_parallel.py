@@ -62,14 +62,14 @@ def test_a_polish_error_in_a_child_reaches_the_caller(monkeypatch):
     grid = scan_grid(THREE, Probe.fock((1, 1, 1)), resolution=64)
     i, j = landscape._grid_local_minima(grid)[0]
     first = np.array([grid.phi1[i], grid.phi2[j]])
-    real_minimize = landscape.minimize
+    real_nelder_mead = landscape.nelder_mead
 
     def only_the_first_converges(fun, x0, **kwargs):
         if not np.array_equal(x0, first):
             raise FloatingPointError(os.getpid())
-        return real_minimize(fun, x0, **kwargs)
+        return real_nelder_mead(fun, x0, **kwargs)
 
-    monkeypatch.setattr(landscape, "minimize", only_the_first_converges)
+    monkeypatch.setattr(landscape, "nelder_mead", only_the_first_converges)
     monkeypatch.setattr(landscape, "FORK_PAYS_S", -1.0)
     started = _pools_started(monkeypatch, 2)
     with pytest.raises(FloatingPointError) as info:

@@ -139,6 +139,23 @@ def test_coherent_cutoff_is_minimal_for_tail():
         n_max = coherent_cutoff(mean)
         assert sps.poisson.sf(n_max, mean) < 1e-8
         assert sps.poisson.sf(n_max - 1, mean) >= 1e-8
+    assert (coherent_cutoff(3.0), coherent_cutoff(4.0)) == (17, 20)
+
+
+def test_coherent_cutoff_is_the_pdtrc_loop_over_a_dense_grid_of_means():
+    # the cutoff sums the Poisson tail itself; scipy's pdtrc is the reference
+    from scipy.special import pdtrc
+
+    def reference(means, tail):
+        n_max = np.floor(means)
+        while (more := pdtrc(n_max, means) >= tail).any():
+            n_max += more
+        return n_max.astype(int).tolist()
+
+    means = np.linspace(0.01, 60.0, 6000)
+    assert [coherent_cutoff(m) for m in means] == reference(means, 1e-8)
+    for tail in (1e-4, 1e-12):
+        assert [coherent_cutoff(m, tail) for m in means[::7]] == reference(means[::7], tail)
 
 
 def test_coherent_truncation_tail():

@@ -177,13 +177,16 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
 def _stacked_loglik(batches):
     """The summed flat-prior data log-likelihood of (counts, model) batches
     as a function of one point [n_params], -inf where an observed outcome
-    has zero probability; None unless the models share sector matrices
-    (``stacked_fock_probs``, built here once).  The bits are those of one
-    ``prob_batch`` call per model: log is element-wise, and a 1-D product
-    with the counts is the same dot as the loop's [1, n_obs] one."""
+    has zero probability.  Fock models on shared sector matrices (the
+    models of a run while the sector cache holds them) are evaluated as one
+    stack, ``stacked_fock_probs``, built here once; any other batches go
+    through ``_joint_loglik_batch``.  The bits are the same either way: log
+    is element-wise, and a 1-D product with the counts is the same dot as
+    the loop's [1, n_obs] one."""
     probs_at = stacked_fock_probs([m for _, m in batches])
     if probs_at is None:
-        return None
+        # e.g. a cached rough model whose sector matrices the cache evicted
+        return lambda point: _joint_loglik_batch(batches, np.asarray(point)[None, :])[0]
     observed = [(counts.observed, counts.observed_counts) for counts, _ in batches]
 
     def loglik(point):  # callers ignore the divide warning of log(0) = -inf
@@ -199,13 +202,10 @@ def _stacked_loglik(batches):
 def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     """Summed flat-prior data log-likelihood of (counts, model) batches
     at points [n_pts, n_params]; -inf where an observed outcome has zero
-    probability.  At one point, Fock models on shared sector matrices (the
-    models of one run) are evaluated together by ``_stacked_loglik``."""
+    probability."""
+    points = np.mod(points, TWO_PI)
+    total = np.zeros(len(points))
     with np.errstate(divide="ignore"):
-        if len(points) == 1 and (loglik := _stacked_loglik(batches)) is not None:
-            return np.array([loglik(points[0])])
-        points = np.mod(points, TWO_PI)
-        total = np.zeros(len(points))
         for counts, model in batches:
             p = model.prob_batch(points, grads=False)[0][:, counts.observed]
             total += np.log(p, out=p) @ counts.observed_counts
@@ -549,7 +549,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
             for hyp in hypotheses
         ]
         lead = max(v for _, v in window_peaks)
-        # log_likelihood less its prior; a run's models always stack
+        # log_likelihood less its prior
         loglik = _stacked_loglik([(counts, model)])
         for hyp, (x0, grid_value) in zip(hypotheses, window_peaks):
             prior = GaussianPrior(hyp.mean, hyp.sigma)
@@ -625,7 +625,7 @@ def _joint_refit(collected, hypotheses, anchors, rough_centers, group):
     likelihood.
     """
     n = len(hypotheses[0].mean)
-    loglik = _stacked_loglik(collected)  # the models of one run always stack
+    loglik = _stacked_loglik(collected)
 
     def objective(x):
         return -loglik(x)

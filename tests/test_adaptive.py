@@ -17,6 +17,7 @@ from mmzi.adaptive import (
     ProtocolConfig,
     RoughStepError,
     _joint_loglik_batch,
+    _stacked_loglik,
     _joint_sigma,
     _likelihood_peaks,
     _polish,
@@ -568,8 +569,9 @@ def test_four_mode_nu20_case_finishes_within_a_memory_budget():
 
 
 def _loop_loglik(batches, points):
-    """``_joint_loglik_batch`` as one ``prob_batch`` call per model: the
-    formula the stacked one-point path reproduces."""
+    """The data log-likelihood as one ``prob_batch`` call per model: the
+    formula of ``_joint_loglik_batch``, which the stacked one-point path
+    reproduces."""
     points = np.mod(points, TWO_PI)
     total = np.zeros(len(points))
     with np.errstate(divide="ignore"):
@@ -589,11 +591,13 @@ def _random_batches(config, k, rng):
 
 def _assert_one_point_values_match_the_loop(batches, rng, stacked):
     models = [m for _, m in batches]
+    assert (stacked_fock_probs(models) is not None) == stacked
+    loglik = _stacked_loglik(batches)
     points = [*rng.uniform(-7.0, 7.0, (60, 2)), [0.0, 0.0], [TWO_PI, -np.pi]]
-    for x in np.array(points)[:, None, :]:
-        assert (stacked_fock_probs(models) is not None) == stacked
-        got, want = _joint_loglik_batch(batches, x), _loop_loglik(batches, x)
-        assert got.shape == want.shape == (1,) and got.tobytes() == want.tobytes(), x
+    for x in np.array(points):
+        with np.errstate(divide="ignore"):
+            got = np.array([loglik(x)])
+        assert got.tobytes() == _loop_loglik(batches, x[None, :]).tobytes(), x
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
@@ -602,7 +606,6 @@ def test_stacked_one_point_likelihood_is_the_model_loop_bit_for_bit(modes, true,
     rng = np.random.default_rng(100 * modes + k)
     batches = _random_batches(ProtocolConfig(modes=modes, true_phases=true), k, rng)
     _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
-    # several points take the loop, one prob_batch call per model
     points = rng.uniform(-7.0, 7.0, (7, 2))
     assert _joint_loglik_batch(batches, points).tobytes() == _loop_loglik(batches, points).tobytes()
 
@@ -662,9 +665,10 @@ def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
     dead = CountRecord(counts=dead, total=6)
     x = np.array([[0.3, 0.4]])
     assert stacked_fock_probs(models) is not None
-    assert np.isfinite(_joint_loglik_batch([(alive, models[0]), (alive, models[1])], x)[0])
-    for batches in ([(alive, models[0]), (dead, models[1])], [(dead, models[0]), (alive, models[1])]):
-        assert _joint_loglik_batch(batches, x)[0] == -np.inf == _loop_loglik(batches, x)[0]
+    with np.errstate(divide="ignore"):
+        assert np.isfinite(_stacked_loglik([(alive, models[0]), (alive, models[1])])(x[0]))
+        for batches in ([(alive, models[0]), (dead, models[1])], [(dead, models[0]), (alive, models[1])]):
+            assert _stacked_loglik(batches)(x[0]) == -np.inf == _loop_loglik(batches, x)[0]
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
@@ -686,6 +690,28 @@ def test_adaptive_runs_take_the_stacked_one_point_likelihood(modes, true, monkey
     monkeypatch.setattr(adaptive, "stacked_fock_probs", spy)
     run_protocol(ProtocolConfig(modes=modes, true_phases=true), 5)
     assert built.count(False) == 0 and len(results) > 100
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+def test_a_run_after_the_sector_cache_was_emptied_is_a_cold_run(modes, true, monkeypatch):
+    # the cached rough model keeps the sector matrices the cache then drops,
+    # so the next run's models are built on fresh ones and cannot stack
+    import mmzi.fock as fock
+
+    monkeypatch.setattr(fock, "_SECTOR_CACHE", type(fock._SECTOR_CACHE)())
+    config = ProtocolConfig(modes=modes, true_phases=true, nu=2000)
+    adaptive._rough_model.cache_clear()
+    try:
+        cold = run_protocol(config, 2)
+        run_protocol(config, 1)
+        fock._SECTOR_CACHE.clear()
+        warm = run_protocol(config, 2)
+        rough = adaptive._rough_model(modes, config.phi0)
+        model = build_model(config.interferometer(), config.probe(), psis=np.zeros(2))
+        assert stacked_fock_probs([rough, model]) is None
+    finally:
+        adaptive._rough_model.cache_clear()  # its matrices are not the cache's
+    assert _traces_equal(warm, cold)
 
 
 def _loop_distinct_peaks(candidates):

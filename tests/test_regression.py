@@ -3,12 +3,14 @@ the same across code versions.  The values were recorded from the library
 before its probe models and grid helpers were consolidated; a change that
 moves any of them changes the numbers the package reports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mmzi.adaptive import ProtocolConfig, derive_seeds, quotient_errors, run_protocol
-from mmzi.landscape import find_working_points, scan_grid
-from mmzi.optics import three_mode_mzi
+from mmzi.landscape import export_grid, find_working_points, scan_grid
+from mmzi.optics import four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe
 
 ATOL = 1e-9
@@ -80,3 +82,39 @@ def test_three_mode_coherent_min_trace():
     grid = scan_grid(three_mode_mzi(), Probe.coherent(np.sqrt(3.0)), resolution=64)
     # the exact Poisson Fisher information (test_probes checks its accuracy)
     assert abs(grid.min_trace() - 1.2887307076549737) <= ATOL
+
+
+# float.hex of the best working point (phases, tr, finv11, finv22) and the
+# sha256 of the exported CSV of 64^2 scans: a byte that moves anywhere on the
+# scan, polish or export path fails here in the quick tier.
+LANDSCAPE_PINS = {
+    "fock3": (("0x1.c8b826ba9eaf4p-1", "0x1.186d6662f5faap+1", "0x1.2ef19ab0fffc5p-1",
+               "0x1.3d0ddffa62588p-2", "0x1.20d555679da03p-2"),
+              "66569e59274e2b00339513a9c98367c4e9877303ad6bf0bb51e4410a0c94feaa"),
+    "fock4": (("0x1.e2af3e9723d9ap-11", "0x1.e2741b4b6ab99p-11", "0x1.80002d911a2cfp-2",
+               "0x1.80002d9acb75fp-3", "0x1.80002d8768e3fp-3"),
+              "ec0ae379912e9d6c98a28da29edca799cb9b56d5b4cce8011ed5e9e7f0780547"),
+    "dist3": (("0x1.4390035f687a4p+0", "0x1.5cf92499707dap+2", "0x1.12284764ac2abp+2",
+               "0x1.122844ae530f4p+1", "0x1.12284a1b05461p+1"),
+              "7ff05f020aa44e3f0c82d03b1080674e5f5875c83cfcdcdb5d5ed6d048abba2b"),
+    "dist4": (("0x1.2a4564920c49dp-12", "0x1.7b9479e872b01p-15", "0x1.800017d9806e9p-1",
+               "0x1.8000119610f9ep-2", "0x1.80001e1cefe35p-2"),
+              "d208bfc26892dc7651d6ed4f5483aaf2528b3b507ee7746c55bda0aadd135443"),
+}
+LANDSCAPE_CASES = {
+    "fock3": (three_mode_mzi, (), Probe.fock((1, 1, 1))),
+    "fock4": (four_mode_mzi, (0.001,), Probe.fock((1, 1, 1, 1))),
+    "dist3": (three_mode_mzi, (), Probe.distinguishable((1, 1, 1))),
+    "dist4": (four_mode_mzi, (0.001,), Probe.distinguishable((1, 1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LANDSCAPE_PINS))
+def test_landscape_working_point_and_csv_are_pinned_to_the_bit(key, tmp_path):
+    preset, args, probe = LANDSCAPE_CASES[key]
+    grid = scan_grid(preset(*args), probe, resolution=64)
+    best = find_working_points(grid)[0]
+    path = tmp_path / f"{key}.csv"
+    export_grid(grid, path)
+    got = tuple(float(v).hex() for v in (*best.phases, best.tr_finv, best.finv11, best.finv22))
+    assert (got, hashlib.sha256(path.read_bytes()).hexdigest()) == LANDSCAPE_PINS[key]

@@ -29,7 +29,7 @@ import numpy as np
 from . import fisher
 from .optics import Interferometer, TWO_PI
 from .parallel import _usable_cpus, fork_map
-from .probes import Probe, build_model
+from .probes import FockProbeModel, Probe, build_model
 from .simplex import nelder_mead
 
 GRID_SCHEMA_VERSION = 1
@@ -174,24 +174,55 @@ class WorkingPoint:
     finv22: float
 
 
-def _trace_objective(model):
+def _point_metrics(model):
+    """``metrics_at(x)``: (Tr F^-1, [F^-1]_11, [F^-1]_22) at one phase point
+    x [2], taken modulo 2pi, or None where the cell is singular; bit for bit
+    ``_inverse_metrics(model, x[None, :])``.  Fock models take the Fisher
+    entries from ``FockProbeModel._fim_at``, built here once; other models
+    from ``_fim_components``.  The 2x2 part runs on Python floats and repeats
+    ``_classify_2x2`` and ``_inverse_metrics`` operation for operation:
+    ``h * h`` is numpy's ``h**2``, ``max(x, 0.0)`` lets NaN through as
+    ``np.maximum`` does, and the condition number is inf unless lmin > 0."""
+    if isinstance(model, FockProbeModel):
+        fock_fim_at = model._fim_at()
+
+        def fim_at(x):
+            return fock_fim_at(np.mod(x, TWO_PI))
+    else:
+        def fim_at(x):
+            return [v.item() for v in _fim_components(model, x[None, :])]
+
+    def metrics_at(x):
+        f11, f22, f12, support_bad = fim_at(x)
+        det = f11 * f22 - f12 * f12
+        half_trace = 0.5 * (f11 + f22)
+        half_gap = 0.5 * (f11 - f22)
+        disc = math.sqrt(max(half_gap * half_gap + f12 * f12, 0.0))
+        lmax = abs(half_trace + disc)
+        lmin = abs(half_trace - disc)
+        cond = lmax / max(lmin, 1e-300) if lmin > 0.0 else math.inf
+        if support_bad or cond >= fisher.COND_THRESHOLD or abs(det) < fisher.DET_THRESHOLD:
+            return None
+        return (f11 + f22) / det, f22 / det, f11 / det
+
+    return metrics_at
+
+
+def _trace_objective(metrics_at):
+    """The polish objective: Tr F^-1 from a ``_point_metrics`` evaluator,
+    1e12 where the cell is singular."""
     def objective(x):
-        tr, _i11, _i22, _det, singular = _inverse_metrics(model, x[None, :])
-        return 1e12 if singular[0] else float(tr[0])
+        metrics = metrics_at(x)
+        return 1e12 if metrics is None else metrics[0]
 
     return objective
 
 
-def _metrics_at(model, x) -> WorkingPoint | None:
-    tr, i11, i22, _det, singular = _inverse_metrics(model, x[None, :])
-    if singular[0]:
+def _metrics_at(metrics_at, x) -> WorkingPoint | None:
+    metrics = metrics_at(x)
+    if metrics is None:
         return None
-    return WorkingPoint(
-        phases=(float(np.mod(x[0], TWO_PI)), float(np.mod(x[1], TWO_PI))),
-        tr_finv=float(tr[0]),
-        finv11=float(i11[0]),
-        finv22=float(i22[0]),
-    )
+    return WorkingPoint((float(np.mod(x[0], TWO_PI)), float(np.mod(x[1], TWO_PI))), *metrics)
 
 
 def circular_distance(a, b) -> float:
@@ -226,7 +257,7 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
     finite = grid.tr_finv[~grid.singular]
     if finite.size and float(np.nanmax(finite) - np.nanmin(finite)) < 1e-12:
         corner = (
-            _metrics_at(grid.model, np.array([grid.phi1[0], grid.phi2[0]]))
+            _metrics_at(_point_metrics(grid.model), np.array([grid.phi1[0], grid.phi2[0]]))
             if grid.model is not None
             else cell(0, 0)
         )
@@ -235,12 +266,14 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
     if grid.model is None:
         points = [cell(i, j) for i, j in candidates]
     else:
+        metrics_at = _point_metrics(grid.model)
+        objective = _trace_objective(metrics_at)
+
         def polish(candidate) -> WorkingPoint | None:
             i, j = candidate
-            x, _fun = nelder_mead(_trace_objective(grid.model),
-                                  np.array([grid.phi1[i], grid.phi2[j]]),
+            x, _fun = nelder_mead(objective, np.array([grid.phi1[i], grid.phi2[j]]),
                                   xatol=refine_tol, fatol=1e-12, maxiter=600)
-            return _metrics_at(grid.model, x)
+            return _metrics_at(metrics_at, x)
 
         points = [wp for wp in _map_tasks(polish, candidates) if wp is not None]
     points.sort(key=lambda w: w.tr_finv)

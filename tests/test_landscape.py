@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 
@@ -12,6 +13,8 @@ from mmzi.landscape import (
     CSV_COLUMNS,
     LandscapeGrid,
     _classify_2x2,
+    _inverse_metrics,
+    _point_metrics,
     circular_distance,
     export_grid,
     find_working_points,
@@ -337,3 +340,68 @@ def test_stability_tiny_disc_regular():
     )
     assert report.singular_count == 0
     assert report.min_abs_det > 0
+
+
+@pytest.mark.parametrize("preset,probe", [
+    (three_mode_mzi(), Probe.fock((1, 1, 1))),
+    (four_mode_mzi(0.001), Probe.fock((1, 1, 1, 1))),
+    (three_mode_mzi(), Probe.distinguishable((1, 1, 1))),
+    (four_mode_mzi(0.001), Probe.distinguishable((1, 1, 1, 1))),
+    (three_mode_mzi(), Probe.coherent(math.sqrt(3.0))),
+    (four_mode_mzi(0.001), Probe.coherent(2.0)),
+])
+def test_one_point_metrics_match_the_batch_path_bit_for_bit(preset, probe):
+    # random points, multiples of pi/4, the singular cells of a 64^2 scan,
+    # (pi, pi), a tiny negative phase and NaN; the singular verdict must
+    # agree as well as the bits of every metric
+    grid = scan_grid(preset, probe, resolution=64)
+    rows, cols = np.nonzero(grid.singular)
+    eighths = np.arange(-8, 17) * np.pi / 4
+    points = np.concatenate([
+        np.random.default_rng(41).uniform(-7.0, 7.0, (2000, 2)),
+        np.stack(np.meshgrid(eighths, eighths), axis=-1).reshape(-1, 2),
+        np.column_stack([grid.phi1[rows], grid.phi2[cols]]),
+        [[np.pi, np.pi], [-1e-100, 0.0], [np.nan, 0.5], [0.5, np.inf]],
+    ])
+    metrics_at = _point_metrics(grid.model)
+    singular_seen = 0
+    with np.errstate(invalid="ignore"):
+        for x in points:
+            tr, i11, i22, _det, singular = _inverse_metrics(grid.model, x[None, :])
+            want = None if singular[0] else tuple(float(v[0]).hex() for v in (tr, i11, i22))
+            got = metrics_at(x)
+            assert (None if got is None else tuple(v.hex() for v in got)) == want, x
+            singular_seen += got is None
+    assert singular_seen >= 2 + grid.singular_count()
+
+
+class _FixedFisher:
+    """A model whose Fisher matrix and support flag are set by hand."""
+
+    def __init__(self):
+        self.f, self.support_bad = np.zeros((2, 2)), False
+
+    def fim_batch(self, points):
+        return (np.broadcast_to(self.f, (len(points), 2, 2)),
+                np.full(len(points), self.support_bad))
+
+
+def test_one_point_2x2_arithmetic_matches_the_batch_path_on_edge_matrices():
+    # zeros of both signs, subnormals, overflow, inf and NaN entries, and
+    # near-rank-one matrices around the determinant and condition thresholds
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1.0, -1.0, 1e10, 1e200,
+               np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(43)
+    u, v = rng.lognormal(0.0, 4.0, (2, 2000))
+    gap = 10.0 ** rng.uniform(-17.0, -3.0, 2000)
+    matrices = list(itertools.product(special, repeat=3)) + list(zip(u * u, v * v, u * v * (1 - gap)))
+    model = _FixedFisher()
+    metrics_at = _point_metrics(model)
+    x = np.array([0.3, 0.4])
+    with np.errstate(all="ignore"):
+        for (f11, f22, f12), support_bad in itertools.product(matrices, (False, True)):
+            model.f, model.support_bad = np.array([[f11, f12], [f12, f22]]), support_bad
+            tr, i11, i22, _det, singular = _inverse_metrics(model, x[None, :])
+            want = None if singular[0] else tuple(float(w[0]).hex() for w in (tr, i11, i22))
+            got = metrics_at(x)
+            assert (None if got is None else tuple(w.hex() for w in got)) == want, (f11, f22, f12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from mmzi.fock import basis_index, enumerate_fock_basis
 from mmzi.optics import Interferometer, four_mode_mzi, three_mode_mzi
 from mmzi.probes import (
     CoherentProbeModel,
@@ -278,3 +279,60 @@ def test_fock_prob_batch_and_theta_match_the_reference_bit_for_bit(interf, probe
                 got = model.prob_batch(points, grads=grads)
                 want = _reference_fock_prob_batch(model, points, grads)
                 assert all(_same_array(g, w) for g, w in zip(got, want)), (len(points), grads)
+
+
+def _reference_distinguishable_prob_batch(model, points, grads):
+    """``DistinguishableProbeModel.prob_batch`` as one loop over states and
+    modes per photon, one point column at a time, the formula its layers
+    replace."""
+    theta = _reference_theta(model, points)
+    n_pts, d, n_params = theta.shape[0], model.interf.d, model.n_params
+    phase = np.exp(-1j * theta)
+    u_in_cols = model.interf.u_in[:, model.photon_modes]
+    c = np.einsum("im,pm,mq->piq", model.interf.u_out, phase, u_in_cols)
+    p_single = c.real**2 + c.imag**2
+    g_single = np.empty((n_pts, d, len(model.photon_modes), n_params))
+    for j, mode in enumerate(model.unknown_modes):
+        dc = np.einsum("i,p,q->piq", model.interf.u_out[:, mode], -1j * phase[:, mode],
+                       u_in_cols[mode, :])
+        g_single[:, :, :, j] = 2.0 * (c.conj() * dc).real
+    dist = np.ones((n_pts, 1))
+    grad = np.zeros((n_pts, 1, n_params))
+    for q in range(model.n):
+        upper_idx = basis_index(d, q + 1)
+        new_dist = np.zeros((n_pts, len(upper_idx)))
+        new_grad = np.zeros((n_pts, len(upper_idx), n_params))
+        pq = p_single[:, :, q]
+        for s, occ in enumerate(enumerate_fock_basis(d, q)):
+            for mode in range(d):
+                occ_up = list(occ)
+                occ_up[mode] += 1
+                t = upper_idx[tuple(occ_up)]
+                new_dist[:, t] += dist[:, s] * pq[:, mode]
+                new_grad[:, t, :] += (grad[:, s, :] * pq[:, mode, None]
+                                      + dist[:, s, None] * g_single[:, mode, q, :])
+        dist, grad = new_dist, new_grad
+    return dist, (grad if grads else None)
+
+
+@pytest.mark.parametrize(
+    "interf,probe",
+    [
+        (THREE, Probe.distinguishable((1, 1, 1))),
+        (FOUR, Probe.distinguishable((1, 1, 1, 1))),
+        (Interferometer(u_in=THREE.u_in, u_out=THREE.u_out, unknown_modes=(2, 0)),
+         Probe.distinguishable((1, 1, 1))),
+        (THREE, Probe.distinguishable((2, 0, 1))),
+    ],
+)
+def test_distinguishable_layers_match_the_loop_bit_for_bit(interf, probe):
+    # sizes around the 1,024-point convolution block, and a scan chunk
+    rng = np.random.default_rng(37)
+    for psis in (None, rng.uniform(-4.0, 4.0, 2)):
+        model = build_model(interf, probe, psis=psis)
+        for n_pts in (1, 7, 1023, 1024, 1025, 8192):
+            points = rng.uniform(-7.0, 7.0, (n_pts, 2))
+            for grads in (False, True):
+                got = model.prob_batch(points, grads=grads)
+                want = _reference_distinguishable_prob_batch(model, points, grads)
+                assert all(_same_array(g, w) for g, w in zip(got, want)), (n_pts, grads)

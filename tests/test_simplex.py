@@ -112,6 +112,6 @@ def test_working_point_polishes_are_scipys_bit_for_bit(interf, probe):
     candidates = landscape._grid_local_minima(grid)
     assert len(candidates) >= 2
     for i, j in candidates:
-        _assert_scipys_result(landscape._trace_objective(grid.model),
+        _assert_scipys_result(landscape._trace_objective(landscape._point_metrics(grid.model)),
                               np.array([grid.phi1[i], grid.phi2[j]]),
                               xatol=1e-5, fatol=1e-12, maxiter=600)

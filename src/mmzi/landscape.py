@@ -176,13 +176,12 @@ class WorkingPoint:
 
 def _point_metrics(model):
     """``metrics_at(x)``: (Tr F^-1, [F^-1]_11, [F^-1]_22) at one phase point
-    x [2], taken modulo 2pi, or None where the cell is singular; bit for bit
+    x [2], taken modulo 2pi, or None where singular; bit for bit
     ``_inverse_metrics(model, x[None, :])``.  Fock models take the Fisher
-    entries from ``FockProbeModel._fim_at``, built here once; other models
-    from ``_fim_components``.  The 2x2 part runs on Python floats and repeats
-    ``_classify_2x2`` and ``_inverse_metrics`` operation for operation:
-    ``h * h`` is numpy's ``h**2``, ``max(x, 0.0)`` lets NaN through as
-    ``np.maximum`` does, and the condition number is inf unless lmin > 0."""
+    entries from ``FockProbeModel._fim_at``, built here once, others from
+    ``_fim_components``.  The 2x2 part repeats ``_classify_2x2`` on Python
+    floats operation for operation: ``h * h`` is numpy's ``h**2`` (``pow``
+    rounds differently), and ``max(x, 0.0)`` lets NaN through."""
     if isinstance(model, FockProbeModel):
         fock_fim_at = model._fim_at()
 

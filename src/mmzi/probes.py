@@ -263,59 +263,59 @@ class FockProbeModel(_ProbeModel):
         self.t_in = _input_column(sector_unitary(interf.u_in, n), probe_idx)  # <m|U_in|probe>
         self._t_in_col = self.t_in[:, None]
         self.t_out = sector_unitary(interf.u_out, n)  # [x, m]
-        # occupation of the generating mode per intermediate state, one row per parameter
-        self.gen_occ = self.occ[:, self.unknown_modes].T  # [n_params, n_states]
+        # -i m_j per intermediate state, one column [n_states, 1] per parameter,
+        # m_j the occupation of the mode carrying parameter j
+        self._generators = [(-1j * m)[:, None] for m in self.occ[:, self.unknown_modes].T]
 
-    def prob_batch(self, points: np.ndarray, grads: bool = True):
-        theta = self._theta(points)  # [n_pts, d]
+    def _amplitudes(self, theta_t):
+        """The phased input column v [n_states, n_pts] and the amplitudes
+        [n_out, n_pts] at per-mode phases theta_t [d, n_pts]."""
         # exp and the t_in product overwrite one buffer: on the 15,876-point
         # rough torus each extra [n_states, n_pts] array costs 8.9 MB
-        w = -1j * (self.occ @ theta.T)  # [n_states, n_pts]
+        w = -1j * (self.occ @ theta_t)
         v = np.multiply(np.exp(w, out=w), self._t_in_col, out=w)
-        amps = self.t_out @ v  # [n_out, n_pts]
+        return v, self.t_out @ v
+
+    def _gradients(self, v, amps, out, scaled, damps):
+        """Write d probs / d phi_j into out[:, :, j].  The products of every
+        parameter go through the two scratch buffers ``scaled`` and
+        ``damps``, shaped like v, not into three fresh arrays: the same
+        operations, and a four-mode scan chunk of 8192 points peaks 4.4 MiB
+        lower."""
+        for j, generator in enumerate(self._generators):
+            np.multiply(v, generator, out=scaled)
+            np.matmul(self.t_out, scaled, out=damps)
+            np.multiply(np.conjugate(amps, out=scaled), damps, out=damps)
+            np.multiply(2.0, damps.real.T, out=out[:, :, j])
+
+    def prob_batch(self, points: np.ndarray, grads: bool = True):
+        v, amps = self._amplitudes(self._theta(points).T)
         probs = (amps.real**2 + amps.imag**2).T
         if not grads:
             return probs, None
         out = np.empty(probs.shape + (self.n_params,))
-        # the products of every parameter write into two scratch buffers, not
-        # into three fresh [n_states, n_pts] arrays: the same operations, and
-        # a four-mode scan chunk of 8192 points peaks 4.4 MiB lower
-        scaled, damps = np.empty_like(v), np.empty_like(v)
-        for j in range(self.n_params):
-            np.multiply(v, (-1j * self.gen_occ[j])[:, None], out=scaled)
-            np.matmul(self.t_out, scaled, out=damps)
-            np.multiply(np.conjugate(amps, out=scaled), damps, out=damps)
-            np.multiply(2.0, damps.real.T, out=out[:, :, j])
+        self._gradients(v, amps, out, np.empty_like(v), np.empty_like(v))
         return probs, out
 
     def _fim_at(self):
         """``fim_at(point)``: (f11, f22, f12, support_bad) of
-        ``fim_batch(point[None, :])`` for two unknown phases, at one point
-        [2], as Python scalars with the same bits.  The theta row, the
-        -i m_j generator columns and the scratch buffers are built here once;
-        every array keeps the shape and strides of the one-point batch call,
-        so each product runs the same loop on the same numbers, and the
-        Fisher sums call ``c_einsum``, the C function behind ``np.einsum``."""
+        ``fim_batch(point[None, :])`` for two unknown phases at one point
+        [2], as Python scalars with the same bits: the theta row and the
+        buffers, built here once, have the shapes and strides of the
+        one-point batch call, and the Fisher sums call ``c_einsum``, the C
+        function behind ``np.einsum``."""
         theta = np.empty((1, len(self.theta_offset)))
         theta[:] = self.theta_offset
         theta_t, unknown, offset = theta.T, self.unknown_modes, self._unknown_offset
-        occ, t_in_col, t_out = self.occ, self._t_in_col, self.t_out
-        generators = [(-1j * g)[:, None] for g in self.gen_occ]
-        scaled, damps = (np.empty((len(occ), 1), dtype=complex) for _ in range(2))
+        scaled, damps = (np.empty((len(self.occ), 1), dtype=complex) for _ in range(2))
         grads = np.empty((1, len(self.basis), self.n_params))
         g1, g2 = grads[:, :, 0], grads[:, :, 1]
 
         def fim_at(point):
             theta[0, unknown] = point + offset
-            w = -1j * (occ @ theta_t)
-            v = np.multiply(np.exp(w, out=w), t_in_col, out=w)
-            amps = t_out @ v
+            v, amps = self._amplitudes(theta_t)
             probs = (amps.real**2 + amps.imag**2).T
-            for j, generator in enumerate(generators):
-                np.multiply(v, generator, out=scaled)
-                np.matmul(t_out, scaled, out=damps)
-                np.multiply(np.conjugate(amps, out=scaled), damps, out=damps)
-                np.multiply(2.0, damps.real.T, out=grads[:, :, j])
+            self._gradients(v, amps, grads, scaled, damps)
             weights = np.where(probs >= ZERO_PROB, 1.0 / np.maximum(probs, 1e-300), 0.0)
             wg1, wg2 = weights * g1, weights * g2
             return (c_einsum("xk,xk->x", wg1, g1).item(), c_einsum("xk,xk->x", wg2, g2).item(),

@@ -243,7 +243,7 @@ def _reference_fock_prob_batch(model, points, grads):
         return probs, None
     out = np.empty(probs.shape + (model.n_params,))
     for j in range(model.n_params):
-        damps = model.t_out @ (v * (-1j * model.gen_occ[j])[:, None])
+        damps = model.t_out @ (v * (-1j * model.occ[:, model.unknown_modes[j]])[:, None])
         out[:, :, j] = 2.0 * (amps.conj() * damps).real.T
     return probs, out
 

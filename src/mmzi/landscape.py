@@ -217,7 +217,7 @@ def _trace_objective(metrics_at):
     return objective
 
 
-def _metrics_at(metrics_at, x) -> WorkingPoint | None:
+def _working_point(metrics_at, x) -> WorkingPoint | None:
     metrics = metrics_at(x)
     if metrics is None:
         return None
@@ -256,7 +256,7 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
     finite = grid.tr_finv[~grid.singular]
     if finite.size and float(np.nanmax(finite) - np.nanmin(finite)) < 1e-12:
         corner = (
-            _metrics_at(_point_metrics(grid.model), np.array([grid.phi1[0], grid.phi2[0]]))
+            _working_point(_point_metrics(grid.model), np.array([grid.phi1[0], grid.phi2[0]]))
             if grid.model is not None
             else cell(0, 0)
         )
@@ -272,7 +272,7 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
             i, j = candidate
             x, _fun = nelder_mead(objective, np.array([grid.phi1[i], grid.phi2[j]]),
                                   xatol=refine_tol, fatol=1e-12, maxiter=600)
-            return _metrics_at(metrics_at, x)
+            return _working_point(metrics_at, x)
 
         points = [wp for wp in _map_tasks(polish, candidates) if wp is not None]
     points.sort(key=lambda w: w.tr_finv)

@@ -166,6 +166,11 @@ def _support_bad(probs, grads):
     return np.any(low & (grad_norm > ZERO_GRAD), axis=1)
 
 
+def _fisher_weights(probs):
+    """1 / p per outcome, 0 where p is below ``ZERO_PROB``."""
+    return np.where(probs >= ZERO_PROB, 1.0 / np.maximum(probs, 1e-300), 0.0)
+
+
 def _weighted_gram(w, g):
     """F[p, j, k] = sum_x w[p, x] g[p, x, j] g[p, x, k], one einsum per
     j <= k with the lower triangle mirrored from the upper."""
@@ -229,8 +234,7 @@ class _ProbeModel:
         """Fisher information summed over the outcome list; the contract is
         in the module docstring."""
         probs, grads = self.prob_batch(points)
-        w = np.where(probs >= ZERO_PROB, 1.0 / np.maximum(probs, 1e-300), 0.0)
-        return _weighted_gram(w, grads), _support_bad(probs, grads)
+        return _weighted_gram(_fisher_weights(probs), grads), _support_bad(probs, grads)
 
 
 # Input columns of the cached sector matrices, one view per (matrix, column)
@@ -316,7 +320,7 @@ class FockProbeModel(_ProbeModel):
             v, amps = self._amplitudes(theta_t)
             probs = (amps.real**2 + amps.imag**2).T
             self._gradients(v, amps, grads, scaled, damps)
-            weights = np.where(probs >= ZERO_PROB, 1.0 / np.maximum(probs, 1e-300), 0.0)
+            weights = _fisher_weights(probs)
             wg1, wg2 = weights * g1, weights * g2
             return (c_einsum("xk,xk->x", wg1, g1).item(), c_einsum("xk,xk->x", wg2, g2).item(),
                     c_einsum("xk,xk->x", wg1, g2).item(), _support_bad(probs, grads).item())

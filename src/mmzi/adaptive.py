@@ -177,20 +177,16 @@ def log_likelihood(counts: CountRecord, prior: GaussianPrior | None, phases, mod
 def _stacked_loglik(batches):
     """The summed flat-prior data log-likelihood of (counts, model) batches
     as a function of one point [n_params], -inf where an observed outcome
-    has zero probability.  Fock models on shared sector matrices (the
-    models of a run while the sector cache holds them) are evaluated as one
-    stack, ``stacked_fock_probs``, built here once; any other batches go
-    through ``_joint_loglik_batch``.  The bits are the same either way: log
-    is element-wise, and a 1-D product with the counts is the same dot as
-    the loop's [1, n_obs] one."""
+    has zero probability.  The models, Fock models of one circuit and probe
+    as every run's are, are evaluated as one stack, ``stacked_fock_probs``,
+    built here once.  The bits are those of ``_joint_loglik_batch``: log is
+    element-wise, and a 1-D product with the counts is the same dot as its
+    [1, n_obs] one."""
     probs_at = stacked_fock_probs([m for _, m in batches])
-    if probs_at is None:
-        # e.g. a cached rough model whose sector matrices the cache evicted
-        return lambda point: _joint_loglik_batch(batches, np.asarray(point)[None, :])[0]
     observed = [(counts.observed, counts.observed_counts) for counts, _ in batches]
 
     def loglik(point):  # callers ignore the divide warning of log(0) = -inf
-        log_p = np.log(probs_at(np.mod(point, TWO_PI)))
+        log_p = np.log(probs_at(point))
         value = 0.0
         for row, (index, weights) in zip(log_p, observed):
             value += row.take(index) @ weights
@@ -203,7 +199,6 @@ def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     """Summed flat-prior data log-likelihood of (counts, model) batches
     at points [n_pts, n_params]; -inf where an observed outcome has zero
     probability."""
-    points = np.mod(points, TWO_PI)
     total = np.zeros(len(points))
     with np.errstate(divide="ignore"):
         for counts, model in batches:
@@ -223,12 +218,11 @@ def _width(info):
 
 def _joint_sigma(batches, estimate):
     """Width from the summed information of several (counts, model) batches."""
-    x = np.mod(np.asarray(estimate, dtype=float), TWO_PI)
-    n = len(x)
+    n = len(estimate)
     info = np.zeros((n, n))
     for counts, model in batches:
         try:
-            info += counts.total * fisher_matrix(model.distribution(x)).matrix
+            info += counts.total * fisher_matrix(model.distribution(estimate)).matrix
         except SingularSupportError:
             continue
     return _width(info)
@@ -277,8 +271,7 @@ def _rough_model(modes: int, phi0: float):
     config = ProtocolConfig(modes=modes, true_phases=(0.0, 0.0), phi0=phi0)
     interf = config.interferometer()
     model = build_model(interf, config.probe(), psis=np.zeros(interf.n_params))
-    points = np.mod(_torus(model.n_params)[1], TWO_PI)
-    probs = model.prob_batch(points, grads=False)[0]
+    probs = model.prob_batch(_torus(model.n_params)[1], grads=False)[0]
     with np.errstate(divide="ignore"):
         model.torus_log_p = np.log(probs, out=probs)
     model.torus_log_p.flags.writeable = False
@@ -464,7 +457,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
     rng = np.random.default_rng(seed)
     interf = config.interferometer()
     probe = config.probe()
-    true = np.mod(np.asarray(config.true_phases, dtype=float), TWO_PI)
+    true = np.asarray(config.true_phases, dtype=float)
     n = len(true)
     budgets = _split_budget(config.nu, config.fractions)
     targets = config.targets()
@@ -559,7 +552,7 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
                 continue
             x, value = _polish(lambda x: -(prior.log_density(x) + loglik(x)), x0)
             try:
-                fim = fisher_matrix(model.distribution(np.mod(x, TWO_PI))).matrix
+                fim = fisher_matrix(model.distribution(x)).matrix
                 sigma_post = _width(np.diag(1.0 / hyp.sigma**2) + nu_step * fim)
             except SingularSupportError:
                 sigma_post = None

@@ -63,9 +63,10 @@ def _map_tasks(fn, items: list) -> list:
 
 def _fim_components(model, points):
     """The 2x2 Fisher entries (f11, f22, f12) and the support-bad flag of
-    ``model.fim_batch`` at phase points taken modulo 2pi.  A function of its
-    own because the benchmark's tracer counts the points a scan reads here."""
-    f, support_bad = model.fim_batch(np.mod(points, TWO_PI))
+    ``model.fim_batch`` at phase points (the model reduces them modulo 2pi).
+    A function of its own because the benchmark's tracer counts the points a
+    scan reads here."""
+    f, support_bad = model.fim_batch(points)
     return f[:, 0, 0], f[:, 1, 1], f[:, 0, 1], support_bad
 
 
@@ -85,8 +86,8 @@ def _classify_2x2(f11, f22, f12, support_bad):
 
 def _inverse_metrics(model, points):
     """Tr F^-1, [F^-1]_11, [F^-1]_22, det F and the singular flag at each
-    phase point (taken modulo 2pi); the inverse metrics are NaN where
-    singular."""
+    phase point (any real phases: the model reduces them modulo 2pi); the
+    inverse metrics are NaN where singular."""
     f11, f22, f12, bad = _fim_components(model, points)
     det, _cond, singular = _classify_2x2(f11, f22, f12, bad)
     safe_det = np.where(singular, 1.0, det)
@@ -176,17 +177,14 @@ class WorkingPoint:
 
 def _point_metrics(model):
     """``metrics_at(x)``: (Tr F^-1, [F^-1]_11, [F^-1]_22) at one phase point
-    x [2], taken modulo 2pi, or None where singular; bit for bit
+    x [2] (the model reduces it modulo 2pi), or None where singular; bit for bit
     ``_inverse_metrics(model, x[None, :])``.  Fock models take the Fisher
     entries from ``FockProbeModel._fim_at``, built here once, others from
     ``_fim_components``.  The 2x2 part repeats ``_classify_2x2`` on Python
     floats operation for operation: ``h * h`` is numpy's ``h**2`` (``pow``
     rounds differently), and ``max(x, 0.0)`` lets NaN through."""
     if isinstance(model, FockProbeModel):
-        fock_fim_at = model._fim_at()
-
-        def fim_at(x):
-            return fock_fim_at(np.mod(x, TWO_PI))
+        fim_at = model._fim_at()
     else:
         def fim_at(x):
             return [v.item() for v in _fim_components(model, x[None, :])]

@@ -4,7 +4,13 @@ repetitions, landscape scan chunks and working-point polishes.
 Every task depends only on its item, and results come back in input
 order, so the process count never changes a byte of any output.  Each
 child runs numpy's OpenBLAS at one thread: outputs are byte-identical at
-one thread and at two, and a second thread per child only burns CPU.
+one thread and at two, and a second thread per child only burns CPU.  The
+pin is what makes the pool pay: with ``_blas_thread_functions`` returning
+None, the benchmark's Monte Carlo workload fell from 23-28 to 6-10
+repetitions/s on 2 vCPUs (x86-64 Linux, 5 pairs of 15-s runs).  The
+serial remainder of ``landscape._map_tasks`` is not pinned: pinning it
+read 0.78x to 1.13x on the Fock landscape workload (6 pairs) and 0.94x
+to 1.11x on the coherent one (3 pairs), no gain.
 
 The pool forks, it does not spawn: a spawned child re-imports __main__,
 which breaks scripts that call the library at top level, and starts with

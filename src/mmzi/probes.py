@@ -20,6 +20,12 @@ Each probe kind gets a model object bound to a fixed interferometer
   The base method sums over the outcome list of ``prob_batch``; the
   coherent model uses the Poisson closed form instead.
 
+Points may be any real phases: every evaluation path of a model reduces
+them with ``np.mod(points, 2pi)`` once, as ``Interferometer.unitary``
+does, before adding the control phases, so callers pass them unreduced.
+Reducing twice is not the same: ``np.mod`` maps a tiny negative phase to
+exactly 2pi, and a second ``np.mod`` maps that to 0.
+
 The models share one private base, ``_ProbeModel``, which checks the probe,
 builds the per-mode phase vectors and packages ``distribution``.  A model
 subclass sets ``kind`` (the probe kind it accepts) and ``basis`` (its
@@ -36,13 +42,12 @@ pair of small matrix-vector products.  Differentiating the phase factor
 pulls down ``-i m_k`` for the mode k carrying the parameter, giving the
 gradients from the same precomputation.
 
-Fock models of one circuit and probe share both sector matrices by
-identity: ``t_out`` is the cached matrix and ``t_in`` one cached view of its
-column.  For such models, each with its own controls, ``stacked_fock_probs``
-builds once a function that evaluates them at one phase point as a
-[K, n_states, 1] stack; the adaptive likelihood takes it for every
-one-point evaluation of Fock models that share them, which every run's
-models do.  The bits equal those of one ``prob_batch`` call per model,
+Fock models whose ``occ``, ``t_in`` and ``t_out`` are equal in value (one
+circuit and probe, each model with its own controls) can be evaluated as
+one stack: ``stacked_fock_probs`` compares them once and builds a function
+that evaluates the models at one phase point as a [K, n_states, 1] stack.
+The adaptive likelihood takes it for every one-point evaluation of a run's
+models.  The bits equal those of one ``prob_batch`` call per model,
 because numpy's stacked matmul runs each layer as the same matrix-vector
 product and every other step is element-wise.
 
@@ -59,7 +64,6 @@ scan's peak memory by ~8 %.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import reduce
 from math import exp, factorial, lgamma, log
@@ -72,11 +76,11 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary
-from .optics import Interferometer
+from .optics import TWO_PI, Interferometer
 
 PROB_SUM_TOL = 1e-10
 
-DEFAULT_COHERENT_TAIL = 1e-8
+COHERENT_TAIL = 1e-8  # Poisson tail mass a coherent model's outcome list leaves out
 
 # Zero-probability outcomes are dropped from the classical sum only when
 # their gradient also vanishes (removable limit); otherwise the matrix
@@ -211,12 +215,13 @@ class _ProbeModel:
         return self.basis
 
     def _theta(self, points) -> np.ndarray:
-        """Per-mode phases [n_pts, d] for unknown-phase points [n_pts, n_params]."""
+        """Per-mode phases [n_pts, d] for unknown-phase points [n_pts, n_params],
+        reduced modulo 2pi here."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         theta = np.empty((points.shape[0], len(self.theta_offset)))
         theta[:] = self.theta_offset
         # one fancy-index write, not a read, add and write: the same sums
-        theta[:, self.unknown_modes] = points + self._unknown_offset
+        theta[:, self.unknown_modes] = np.mod(points, TWO_PI) + self._unknown_offset
         return theta
 
     def distribution(self, phis) -> OutcomeDistribution:
@@ -237,21 +242,6 @@ class _ProbeModel:
         return _weighted_gram(_fisher_weights(probs), grads), _support_bad(probs, grads)
 
 
-# Input columns of the cached sector matrices, one view per (matrix, column)
-# while any model holds it, so that the models of one circuit and probe share
-# ``t_in`` by identity.  A live view keeps its matrix, and so the id in its
-# key, alive.
-_INPUT_COLUMNS = weakref.WeakValueDictionary()
-
-
-def _input_column(sector, col):
-    key = (id(sector), col)
-    column = _INPUT_COLUMNS.get(key)
-    if column is None:
-        column = _INPUT_COLUMNS[key] = sector[:, col]
-    return column
-
-
 class FockProbeModel(_ProbeModel):
     """Exact evolution of an indistinguishable-photon probe."""
 
@@ -264,7 +254,7 @@ class FockProbeModel(_ProbeModel):
         self.basis = enumerate_fock_basis(d, n)
         self.occ = np.array(self.basis, dtype=float)  # [n_states, d]
         probe_idx = basis_index(d, n)[probe.occupations]
-        self.t_in = _input_column(sector_unitary(interf.u_in, n), probe_idx)  # <m|U_in|probe>
+        self.t_in = sector_unitary(interf.u_in, n)[:, probe_idx]  # <m|U_in|probe>
         self._t_in_col = self.t_in[:, None]
         self.t_out = sector_unitary(interf.u_out, n)  # [x, m]
         # -i m_j per intermediate state, one column [n_states, 1] per parameter,
@@ -273,7 +263,9 @@ class FockProbeModel(_ProbeModel):
 
     def _amplitudes(self, theta_t):
         """The phased input column v [n_states, n_pts] and the amplitudes
-        [n_out, n_pts] at per-mode phases theta_t [d, n_pts]."""
+        [n_out, n_pts] at per-mode phases theta_t [d, n_pts], or v
+        [K, n_states, 1] and the amplitudes [K, n_out, 1] at a stack
+        theta_t [K, d, 1]."""
         # exp and the t_in product overwrite one buffer: on the 15,876-point
         # rough torus each extra [n_states, n_pts] array costs 8.9 MB
         w = -1j * (self.occ @ theta_t)
@@ -304,10 +296,10 @@ class FockProbeModel(_ProbeModel):
     def _fim_at(self):
         """``fim_at(point)``: (f11, f22, f12, support_bad) of
         ``fim_batch(point[None, :])`` for two unknown phases at one point
-        [2], as Python scalars with the same bits: the theta row and the
-        buffers, built here once, have the shapes and strides of the
-        one-point batch call, and the Fisher sums call ``c_einsum``, the C
-        function behind ``np.einsum``."""
+        [2], reduced modulo 2pi here, as Python scalars with the same bits:
+        the theta row and the buffers, built here once, have the shapes and
+        strides of the one-point batch call, and the Fisher sums call
+        ``c_einsum``, the C function behind ``np.einsum``."""
         theta = np.empty((1, len(self.theta_offset)))
         theta[:] = self.theta_offset
         theta_t, unknown, offset = theta.T, self.unknown_modes, self._unknown_offset
@@ -316,7 +308,7 @@ class FockProbeModel(_ProbeModel):
         g1, g2 = grads[:, :, 0], grads[:, :, 1]
 
         def fim_at(point):
-            theta[0, unknown] = point + offset
+            theta[0, unknown] = np.mod(point, TWO_PI) + offset
             v, amps = self._amplitudes(theta_t)
             probs = (amps.real**2 + amps.imag**2).T
             self._gradients(v, amps, grads, scaled, damps)
@@ -330,17 +322,16 @@ class FockProbeModel(_ProbeModel):
 
 def stacked_fock_probs(models):
     """``probs_at(point)``: the outcome probabilities [K, n_out] of K models
-    at one point [n_params] of unknown phases, as one stacked computation;
-    None unless every model is a Fock model on the first one's sector
-    matrices (``t_in`` and ``t_out``, two ``is`` tests per model, made here
-    once).  Row k is bit for bit
-    ``models[k].prob_batch(point[None, :], grads=False)[0][0]``."""
-    first = models[0] if models else None
-    if not isinstance(first, FockProbeModel):
-        return None
-    t_in, t_out = first.t_in, first.t_out
-    if any(getattr(m, "t_in", None) is not t_in or m.t_out is not t_out for m in models):
-        return None
+    at one point [n_params] of unknown phases, reduced modulo 2pi, as one
+    stacked computation.  Row k is bit for bit
+    ``models[k].prob_batch(point[None, :], grads=False)[0][0]``.  Raises
+    ``ValueError`` unless every model is a Fock model whose ``occ``,
+    ``t_in`` and ``t_out`` equal the first one's in value, compared here once."""
+    first = models[0]
+    for m in models:
+        if not (isinstance(m, FockProbeModel) and np.array_equal(m.occ, first.occ)
+                and np.array_equal(m.t_in, first.t_in) and np.array_equal(m.t_out, first.t_out)):
+            raise ValueError("stacked models must be Fock models with equal sector matrices")
     # per-mode phases [K, d]: the fixed controls, with the unknown modes of
     # row k (flat indices ``unknown``) written as point + its offset at each call
     theta = np.array([m.theta_offset for m in models])
@@ -349,12 +340,10 @@ def stacked_fock_probs(models):
     stack = theta[:, :, None]
 
     def probs_at(point):
-        theta.put(unknown, point + offsets)
+        theta.put(unknown, np.mod(point, TWO_PI) + offsets)
         # each layer of the [K, n_states, 1] stack is the one-point call's
         # matrix-vector product; a [n_states, K] matrix product would not be
-        w = -1j * np.matmul(first.occ, stack)
-        v = np.multiply(np.exp(w, out=w), first._t_in_col, out=w)
-        amps = np.matmul(t_out, v)[:, :, 0]
+        amps = first._amplitudes(stack)[1][:, :, 0]
         return amps.real**2 + amps.imag**2
 
     return probs_at
@@ -461,7 +450,7 @@ def _poisson_tail(n: int, mean: float) -> float:
     return total
 
 
-def coherent_cutoff(mean_photons: float, tail: float = DEFAULT_COHERENT_TAIL) -> int:
+def coherent_cutoff(mean_photons: float, tail: float = COHERENT_TAIL) -> int:
     """Smallest total photon number whose Poisson tail mass is below ``tail``."""
     n_max = int(mean_photons)
     while _poisson_tail(n_max, mean_photons) >= tail:
@@ -474,19 +463,16 @@ class CoherentProbeModel(_ProbeModel):
     photon counts are independent Poisson variables with means |beta_i|^2.
 
     The outcome list is truncated at a total photon number chosen so the
-    neglected Poisson tail mass stays below ``tail``; it serves
+    neglected Poisson tail mass stays below ``COHERENT_TAIL``; it serves
     ``distribution``, sampling and likelihoods, while ``fim_batch`` is exact.
     """
 
     kind = "coherent"
 
-    def __init__(self, interf: Interferometer, probe: Probe, psis=None,
-                 tail: float = DEFAULT_COHERENT_TAIL):
+    def __init__(self, interf: Interferometer, probe: Probe, psis=None):
         super().__init__(interf, probe, psis)
-        self.tail = float(tail)
-        self.mass_tol = 2.0 * self.tail
-        mean = probe.alpha**2
-        self.n_max = coherent_cutoff(mean, self.tail)
+        self.mass_tol = 2.0 * COHERENT_TAIL
+        self.n_max = coherent_cutoff(probe.alpha**2, COHERENT_TAIL)
         d = interf.d
         self.basis = tuple(
             occ for n in range(self.n_max + 1) for occ in enumerate_fock_basis(d, n)
@@ -545,11 +531,11 @@ class CoherentProbeModel(_ProbeModel):
         return _weighted_gram(w, dmu), _support_bad(p_one, g_one)
 
 
-def build_model(interf: Interferometer, probe: Probe, psis=None, **kwargs):
+def build_model(interf: Interferometer, probe: Probe, psis=None):
     """Model object for any probe kind."""
     cls = {
         "fock": FockProbeModel,
         "distinguishable": DistinguishableProbeModel,
         "coherent": CoherentProbeModel,
     }[probe.kind]
-    return cls(interf, probe, psis=psis, **kwargs)
+    return cls(interf, probe, psis=psis)

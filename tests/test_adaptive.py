@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import multiprocessing
 import pickle
 
@@ -572,7 +573,6 @@ def _loop_loglik(batches, points):
     """The data log-likelihood as one ``prob_batch`` call per model: the
     formula of ``_joint_loglik_batch``, which the stacked one-point path
     reproduces."""
-    points = np.mod(points, TWO_PI)
     total = np.zeros(len(points))
     with np.errstate(divide="ignore"):
         for counts, model in batches:
@@ -589,15 +589,30 @@ def _random_batches(config, k, rng):
             for m in models]
 
 
-def _assert_one_point_values_match_the_loop(batches, rng, stacked):
-    models = [m for _, m in batches]
-    assert (stacked_fock_probs(models) is not None) == stacked
-    loglik = _stacked_loglik(batches)
-    points = [*rng.uniform(-7.0, 7.0, (60, 2)), [0.0, 0.0], [TWO_PI, -np.pi]]
-    for x in np.array(points):
-        with np.errstate(divide="ignore"):
-            got = np.array([loglik(x)])
-        assert got.tobytes() == _loop_loglik(batches, x[None, :]).tobytes(), x
+def _offset_copy(a, offset=16):
+    """A copy of ``a``, equal in value, whose data starts ``offset`` bytes
+    past a 64-byte boundary."""
+    raw = np.empty(a.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def _assert_one_point_values_match_the_loop(batches, rng):
+    # the models as built, then with the last one's t_out a value-equal
+    # copy at another alignment: stacking is decided by value, so it stacks
+    # with the first model's matrix and must still give the loop's bits
+    moved = copy.copy(batches[-1][1])
+    moved.t_out = _offset_copy(moved.t_out)
+    assert moved.t_out.ctypes.data % 64 == 16
+    points = [*rng.uniform(-7.0, 7.0, (60, 2)), [0.0, 0.0], [TWO_PI, -np.pi], [-1e-100, 0.5]]
+    for case in (batches, batches[:-1] + [(batches[-1][0], moved)]):
+        loglik = _stacked_loglik(case)
+        for x in np.array(points):
+            with np.errstate(divide="ignore"):
+                got = np.array([loglik(x)])
+            assert got.tobytes() == _loop_loglik(case, x[None, :]).tobytes(), x
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
@@ -605,7 +620,7 @@ def _assert_one_point_values_match_the_loop(batches, rng, stacked):
 def test_stacked_one_point_likelihood_is_the_model_loop_bit_for_bit(modes, true, k):
     rng = np.random.default_rng(100 * modes + k)
     batches = _random_batches(ProtocolConfig(modes=modes, true_phases=true), k, rng)
-    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+    _assert_one_point_values_match_the_loop(batches, rng)
     points = rng.uniform(-7.0, 7.0, (7, 2))
     assert _joint_loglik_batch(batches, points).tobytes() == _loop_loglik(batches, points).tobytes()
 
@@ -620,7 +635,7 @@ def test_stacked_one_point_likelihood_with_the_rough_model(modes, true):
     rng = np.random.default_rng(23)
     batches = [(sample_outcomes(rough.distribution(true), 500, rng), rough),
                *_random_batches(config, 2, rng)]
-    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+    _assert_one_point_values_match_the_loop(batches, rng)
 
 
 def test_stacked_one_point_likelihood_takes_each_models_unknown_modes_and_controls():
@@ -632,26 +647,32 @@ def test_stacked_one_point_likelihood_takes_each_models_unknown_modes_and_contro
         build_model(THREE, Probe.fock((1, 1, 1)), psis=[0.3, -0.4]),
         build_model(swapped, Probe.fock((1, 1, 1)), psis=[1.1, 2.5]),
     )]
-    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+    _assert_one_point_values_match_the_loop(batches, rng)
     batches = [(sample_outcomes(m.distribution([0.7, 1.3]), 900, rng), m) for m in (
         build_model(four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), psis=[0.3, -0.4]),
         build_model(four_mode_mzi(0.5), Probe.fock((1, 1, 1, 1)), psis=[1.1, 2.5]),
     )]
-    _assert_one_point_values_match_the_loop(batches, rng, stacked=True)
+    _assert_one_point_values_match_the_loop(batches, rng)
 
 
-def test_models_without_shared_sector_matrices_take_the_loop():
-    rng = np.random.default_rng(31)
+def test_models_with_other_sector_matrices_do_not_stack():
     fock = build_model(THREE, Probe.fock((1, 1, 1)), psis=[0.3, -0.4])
-    # another exit splitter (t_in shared, t_out not) and another probe of
-    # the same photon number (t_out shared, t_in not)
+    # another exit splitter (t_in equal, t_out not) and another probe of the
+    # same photon number (t_out equal, t_in not)
     other_circuit = Interferometer(u_in=THREE.u_in, u_out=THREE.u_out.conj(), unknown_modes=(0, 1))
+    # two photons in four modes: 10 x 10 sectors like three photons in three
+    two_in_four = build_model(four_mode_mzi(0.01), Probe.fock((1, 1, 0, 0)), psis=[0.2, 0.9])
+    assert two_in_four.t_out.shape == fock.t_out.shape
+    # equal sector matrices, other occupations: only ``occ`` tells them apart
+    same_sectors = copy.copy(two_in_four)
+    same_sectors.t_in, same_sectors.t_out = fock.t_in, fock.t_out
     for model in (build_model(THREE, Probe.distinguishable((1, 1, 1)), psis=[0.2, 0.9]),
                   build_model(other_circuit, Probe.fock((1, 1, 1)), psis=[0.2, 0.9]),
-                  build_model(THREE, Probe.fock((2, 1, 0)), psis=[0.2, 0.9])):
+                  build_model(THREE, Probe.fock((2, 1, 0)), psis=[0.2, 0.9]),
+                  two_in_four, same_sectors):
         for pair in ([model, fock], [fock, model]):
-            batches = [(sample_outcomes(m.distribution([0.7, 1.3]), 400, rng), m) for m in pair]
-            _assert_one_point_values_match_the_loop(batches, rng, stacked=False)
+            with pytest.raises(ValueError, match="equal sector matrices"):
+                stacked_fock_probs(pair)
 
 
 def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
@@ -664,7 +685,6 @@ def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
     dead[next(k for k, occ in enumerate(models[0].outcomes) if occ != (1, 1, 1))] = 1
     dead = CountRecord(counts=dead, total=6)
     x = np.array([[0.3, 0.4]])
-    assert stacked_fock_probs(models) is not None
     with np.errstate(divide="ignore"):
         assert np.isfinite(_stacked_loglik([(alive, models[0]), (alive, models[1])])(x[0]))
         for batches in ([(alive, models[0]), (dead, models[1])], [(dead, models[0]), (alive, models[1])]):
@@ -673,29 +693,29 @@ def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
 
 @pytest.mark.parametrize("modes,true", PRESETS)
 def test_adaptive_runs_take_the_stacked_one_point_likelihood(modes, true, monkeypatch):
-    # a later change to how a run builds its models could make them stop
-    # sharing sector matrices and silently lose the stacked path
-    built, results = [], []
+    # every one-point likelihood of a run, the polishes' objectives, goes
+    # through the stack
+    results = []
 
     def spy(models):
         probs_at = stacked_fock_probs(models)
-        built.append(probs_at is not None)
 
         def counted(point):
             results.append(True)
             return probs_at(point)
 
-        return None if probs_at is None else counted
+        return counted
 
     monkeypatch.setattr(adaptive, "stacked_fock_probs", spy)
     run_protocol(ProtocolConfig(modes=modes, true_phases=true), 5)
-    assert built.count(False) == 0 and len(results) > 100
+    assert len(results) > 100
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
 def test_a_run_after_the_sector_cache_was_emptied_is_a_cold_run(modes, true, monkeypatch):
     # the cached rough model keeps the sector matrices the cache then drops,
-    # so the next run's models are built on fresh ones and cannot stack
+    # so the next run's models are built on fresh ones, equal in value: they
+    # stack with the rough model all the same
     import mmzi.fock as fock
 
     monkeypatch.setattr(fock, "_SECTOR_CACHE", type(fock._SECTOR_CACHE)())
@@ -708,7 +728,10 @@ def test_a_run_after_the_sector_cache_was_emptied_is_a_cold_run(modes, true, mon
         warm = run_protocol(config, 2)
         rough = adaptive._rough_model(modes, config.phi0)
         model = build_model(config.interferometer(), config.probe(), psis=np.zeros(2))
-        assert stacked_fock_probs([rough, model]) is None
+        assert rough.t_out is not model.t_out
+        x = np.array([0.4, 5.0])
+        rows = np.concatenate([m.prob_batch(x[None, :], grads=False)[0] for m in (rough, model)])
+        assert stacked_fock_probs([rough, model])(x).tobytes() == rows.tobytes()
     finally:
         adaptive._rough_model.cache_clear()  # its matrices are not the cache's
     assert _traces_equal(warm, cold)

@@ -5,13 +5,15 @@ import pytest
 from scipy import stats as sps
 
 from mmzi.fock import basis_index, enumerate_fock_basis
-from mmzi.optics import Interferometer, four_mode_mzi, three_mode_mzi
+from mmzi import probes
+from mmzi.optics import TWO_PI, Interferometer, four_mode_mzi, three_mode_mzi
 from mmzi.probes import (
     CoherentProbeModel,
     Probe,
     _ProbeModel,
     build_model,
     coherent_cutoff,
+    stacked_fock_probs,
 )
 
 THREE = three_mode_mzi()
@@ -205,7 +207,7 @@ def _outcome_sum_fim(model, points, chunk=50):
 
 @pytest.mark.parametrize("interf,probe", [(THREE, Probe.coherent(np.sqrt(3.0))),
                                           (FOUR, Probe.coherent(2.0))])
-def test_coherent_closed_form_matches_the_outcome_sum(interf, probe):
+def test_coherent_closed_form_matches_the_outcome_sum(interf, probe, monkeypatch):
     # The Poisson closed form is exact; an outcome sum approaches it as its
     # tail shrinks.  At tail 1e-12 they agree to ~1e-12 of the largest
     # diagonal entry.  The base class's outcome sum at the default tail 1e-8,
@@ -216,7 +218,8 @@ def test_coherent_closed_form_matches_the_outcome_sum(interf, probe):
     assert f.shape == (400, 2, 2) and not support_bad.any()
     assert np.array_equal(f, f.transpose(0, 2, 1))
     scale = np.max(np.diagonal(f, axis1=1, axis2=2))
-    reference = _outcome_sum_fim(CoherentProbeModel(interf, probe, tail=1e-12), points)
+    monkeypatch.setattr(probes, "COHERENT_TAIL", 1e-12)
+    reference = _outcome_sum_fim(CoherentProbeModel(interf, probe), points)
     assert np.max(np.abs(f - reference)) <= 1e-10 * scale
     floored = np.concatenate([_ProbeModel.fim_batch(model, points[k:k + 50])[0]
                               for k in range(0, len(points), 50)])
@@ -224,11 +227,12 @@ def test_coherent_closed_form_matches_the_outcome_sum(interf, probe):
 
 
 def _reference_theta(model, points):
-    """``_theta`` as a fancy-index add, the formula it replaces."""
+    """``_theta`` as a fancy-index add of the points reduced modulo 2pi, the
+    formula it replaces."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     theta = np.empty((points.shape[0], len(model.theta_offset)))
     theta[:] = model.theta_offset
-    theta[:, model.unknown_modes] += points
+    theta[:, model.unknown_modes] += np.mod(points, TWO_PI)
     return theta
 
 
@@ -336,3 +340,61 @@ def test_distinguishable_layers_match_the_loop_bit_for_bit(interf, probe):
                 got = model.prob_batch(points, grads=grads)
                 want = _reference_distinguishable_prob_batch(model, points, grads)
                 assert all(_same_array(g, w) for g, w in zip(got, want)), (n_pts, grads)
+
+
+def _same_arrays(got, want):
+    return all(_same_array(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "interf,probe",
+    [
+        (THREE, Probe.fock((1, 1, 1))),
+        (FOUR, Probe.fock((1, 1, 1, 1))),
+        (THREE, Probe.distinguishable((1, 1, 1))),
+        (FOUR, Probe.distinguishable((1, 1, 1, 1))),
+        (THREE, Probe.coherent(np.sqrt(3.0))),
+        (FOUR, Probe.coherent(2.0)),
+    ],
+)
+def test_every_evaluation_path_reduces_unreduced_phases_once(interf, probe):
+    # Models take any real phases and reduce them with np.mod once.  Where
+    # np.mod(x) lies below 2pi, reducing it again changes nothing, so a call
+    # at x has the bytes of the call at np.mod(x).  A tiny negative phase
+    # reduces to exactly 2pi, which a second np.mod would turn into 0: there
+    # the one-point paths must give the bytes of the batch call, whose theta
+    # is the one-reduction reference.
+    rng = np.random.default_rng(47)
+    points = np.array([*rng.uniform(-7.0, 7.0, (40, 2)), [TWO_PI, -TWO_PI], [-TWO_PI, 0.5],
+                       [-1e-100, 0.3], [0.3, -1e-100], [-1e-100, -1e-100]])
+    reduced = np.mod(points, TWO_PI)
+    inside = (reduced < TWO_PI).all(axis=1)
+    assert inside.sum() == len(points) - 3
+    model = build_model(interf, probe, psis=rng.uniform(-4.0, 4.0, 2))
+    assert _same_array(model._theta(points), _reference_theta(model, points))
+    for grads in (False, True):
+        assert _same_arrays(model.prob_batch(points[inside], grads=grads),
+                            model.prob_batch(reduced[inside], grads=grads))
+    assert _same_arrays(model.fim_batch(points[inside]), model.fim_batch(reduced[inside]))
+    for x, y in zip(points[inside], reduced[inside]):
+        for call in (model.prob_batch, model.fim_batch):
+            assert _same_arrays(call(x[None, :]), call(y[None, :])), x
+    if probe.kind != "fock":
+        return
+    fim_at = model._fim_at()
+    others = [build_model(interf, probe, psis=rng.uniform(-4.0, 4.0, 2)) for _ in range(2)]
+    stack = [model, *others]
+    probs_at = stacked_fock_probs(stack)
+
+    def fim_at_hex(x):
+        *entries, bad = fim_at(x)
+        return [v.hex() for v in entries] + [bad]
+
+    for x, y, once in zip(points, reduced, inside):
+        f, bad = model.fim_batch(x[None, :])
+        assert fim_at_hex(x) == [v.hex() for v in f[0].flat[[0, 3, 1]]] + [bad[0]], x
+        rows = np.concatenate([m.prob_batch(x[None, :], grads=False)[0] for m in stack])
+        assert probs_at(x).tobytes() == rows.tobytes(), x
+        if once:
+            assert fim_at_hex(x) == fim_at_hex(y), x
+            assert probs_at(x).tobytes() == probs_at(y).tobytes(), x

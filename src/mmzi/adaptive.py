@@ -388,7 +388,7 @@ class ProtocolConfig:
     def interferometer(self) -> Interferometer:
         if self.modes == 3:
             return three_mode_mzi()
-        if self.phi0 <= 0:
+        if not self.phi0 > 0:
             raise ValueError(
                 "four-mode protocol requires phi0 > 0: at phi0 = 0 the "
                 "information matrix is singular at the working point and the "

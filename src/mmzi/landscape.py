@@ -7,13 +7,8 @@ condition-number/determinant thresholds, or when some outcome probability
 vanishes with a non-vanishing gradient (diverging information).  Singular
 cells carry NaN metrics and are legitimate values, not errors.
 
-A scan's ``SCAN_CHUNK`` chunks, and the simplex polishes of the working
-points, are independent tasks.  This process runs the first; the rest go to
-forked children, one per usable CPU at one OpenBLAS thread each
-(``parallel.fork_map``), only when the first task's time times their number
-exceeds ``FORK_PAYS_S``, and run here otherwise.  Chunk boundaries do not
-depend on the process count and results are kept in input order, so grids
-and working points are the same bytes however many processes ran them.
+A scan evaluates the torus in ``SCAN_CHUNK``-point chunks, which bound the
+memory of its Fisher arrays.  Scans and polishes run in the calling process.
 """
 
 from __future__ import annotations
@@ -21,14 +16,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
 from . import fisher
 from .optics import Interferometer, TWO_PI
-from .parallel import _usable_cpus, fork_map
 from .probes import FockProbeModel, Probe, build_model
 from .simplex import nelder_mead
 
@@ -38,27 +32,9 @@ CSV_COLUMNS = ("phi1", "phi2", "tr_finv", "finv11", "finv22", "detF", "singular"
 
 SCAN_CHUNK = 8192  # phase points per fim_batch call of a scan
 WORKPOINT_DEDUP_TOL = 1e-3  # working points closer than this (radians) merge
-# serial seconds the tasks after the first must be estimated to take before
-# they go to forked children: well above the 0.02-0.06 s that starting and
-# joining two children costs (measured on a 2-core x86-64 Linux machine)
-FORK_PAYS_S = 0.25
 # one CSV cell in csv.writer's default (excel) dialect: no field written
 # here contains a delimiter, quote or line break, so none is quoted
 _CSV_CELL = ",".join(["%.17g"] * 6 + ["%d"]) + "\r\n"
-
-
-def _map_tasks(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, in input order.  This process runs
-    the first task; the rest go to forked children (one per usable CPU, at
-    most one per task) only when the first task's time times their number
-    exceeds ``FORK_PAYS_S``, and otherwise run here as well."""
-    start = perf_counter()
-    results = [fn(item) for item in items[:1]]
-    rest = items[1:]
-    processes = min(len(rest), _usable_cpus())
-    if processes > 1 and (perf_counter() - start) * len(rest) > FORK_PAYS_S:
-        return results + fork_map(fn, rest, processes)
-    return results + [fn(item) for item in rest]
 
 
 def _fim_components(model, points):
@@ -150,8 +126,8 @@ def scan_grid(interf: Interferometer, probe: Probe, resolution: int = 256) -> La
     model = build_model(interf, probe)
     axis = np.arange(resolution) * TWO_PI / resolution
     points = _mesh([axis, axis])
-    chunks = _map_tasks(lambda start: _inverse_metrics(model, points[start:start + SCAN_CHUNK]),
-                        list(range(0, len(points), SCAN_CHUNK)))
+    chunks = [_inverse_metrics(model, points[start:start + SCAN_CHUNK])
+              for start in range(0, len(points), SCAN_CHUNK)]
     tr, i11, i22, det, singular = (
         np.concatenate(part).reshape(resolution, resolution) for part in zip(*chunks)
     )
@@ -265,14 +241,13 @@ def find_working_points(grid: LandscapeGrid, refine_tol: float = 1e-5) -> list[W
     else:
         metrics_at = _point_metrics(grid.model)
         objective = _trace_objective(metrics_at)
-
-        def polish(candidate) -> WorkingPoint | None:
-            i, j = candidate
+        points = []
+        for i, j in candidates:
             x, _fun = nelder_mead(objective, np.array([grid.phi1[i], grid.phi2[j]]),
                                   xatol=refine_tol, fatol=1e-12, maxiter=600)
-            return _working_point(metrics_at, x)
-
-        points = [wp for wp in _map_tasks(polish, candidates) if wp is not None]
+            wp = _working_point(metrics_at, x)
+            if wp is not None:
+                points.append(wp)
     points.sort(key=lambda w: w.tr_finv)
     kept: list[WorkingPoint] = []
     for wp in points:
@@ -298,9 +273,13 @@ def stability_region(interf: Interferometer, probe: Probe, center, delta: float,
     Sampling is a deterministic sunflower spiral, quasi-uniform over the
     disc, so reports are reproducible without a seed.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not (isinstance(delta, numbers.Real) and math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     center = np.asarray(center, dtype=float)
+    if center.shape != (2,) or not np.isfinite(center).all():
+        raise ValueError(f"center must be two finite phases, got {center}")
     model = build_model(interf, probe)
     k = np.arange(1, n_samples + 1)
     radius = delta * np.sqrt((k - 0.5) / n_samples)

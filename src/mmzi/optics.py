@@ -16,8 +16,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-UNITARITY_TOL = 1e-12
-
 
 def multiport_unitary(d: int, kind: str) -> np.ndarray:
     """Balanced d-port splitter matrix.
@@ -70,6 +68,8 @@ class Interferometer:
             raise ValueError(f"unknown and fixed-control modes must be distinct: {modes}")
         if any(not 0 <= m < shape_in[0] for m in modes):
             raise ValueError(f"mode index out of range for d={shape_in[0]}: {modes}")
+        if not np.isfinite([v for _, v in self.fixed_controls]).all():
+            raise ValueError(f"fixed controls must be finite: {self.fixed_controls}")
 
     @property
     def d(self) -> int:
@@ -83,12 +83,14 @@ class Interferometer:
         """Per-mode phases [d] with the unknowns at zero: the fixed controls,
         then the tunable controls ``psis`` on the unknown modes, each reduced
         with ``float(v) % 2pi`` into [0, 2pi) and summed per mode in that
-        order."""
+        order.  Non-finite controls raise ValueError."""
         controls = list(self.fixed_controls)
         if psis is not None:
             psis = np.atleast_1d(np.asarray(psis, dtype=float))
             if psis.shape != (self.n_params,):
                 raise ValueError(f"expected {self.n_params} control phases, got shape {psis.shape}")
+            if not np.isfinite(psis).all():
+                raise ValueError(f"control phases must be finite: {psis}")
             controls.extend(zip(self.unknown_modes, psis))
         theta = np.zeros(self.d)
         for mode, value in controls:

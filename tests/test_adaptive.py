@@ -292,6 +292,15 @@ def test_four_mode_zero_phi0_rejected():
         run_protocol(ProtocolConfig(modes=4, true_phases=(0.5, 1.0), phi0=0.0, nu=200), 1)
 
 
+def test_four_mode_nan_phi0_rejected():
+    # nan passes a phi0 <= 0 test, and would otherwise reach the phi0 = 0 circuit
+    cfg = ProtocolConfig(modes=4, true_phases=(0.5, 1.0), phi0=float("nan"), nu=200)
+    with pytest.raises(ValueError, match="phi0 > 0"):
+        cfg.interferometer()
+    with pytest.raises(ValueError, match="phi0 > 0"):
+        run_protocol(cfg, 1)
+
+
 def test_trace_resource_accounting():
     trace = run_protocol(ProtocolConfig(modes=3, true_phases=(2.0, 1.0), nu=2000), 5)
     assert trace.nu_total == 2000

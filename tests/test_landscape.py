@@ -329,15 +329,33 @@ def test_coherent_singular_flags_match_the_outcome_sum():
 
 
 def test_stability_requires_positive_radius():
-    with pytest.raises(ValueError):
-        stability_region(four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), (np.pi, np.pi), 0.0)
+    # a nan radius passes a delta <= 0 test
+    for delta in (0.0, -0.1, float("nan"), float("inf"), "0.1", None):
+        with pytest.raises(ValueError, match="delta"):
+            stability_region(four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), (np.pi, np.pi),
+                             delta)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 2.5, 2.0, "64"])
+def test_stability_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        stability_region(four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), (np.pi, np.pi), 0.1,
+                         n_samples=n_samples)
+
+
+@pytest.mark.parametrize("center", [(float("nan"), np.pi), (np.pi, float("inf")), (np.pi,),
+                                    (np.pi, np.pi, 0.0)])
+def test_stability_rejects_a_center_that_is_not_two_finite_phases(center):
+    with pytest.raises(ValueError, match="center"):
+        stability_region(four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), center, 0.1)
 
 
 def test_stability_tiny_disc_regular():
     report = stability_region(
-        four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), (np.pi, np.pi), 1e-4,
-        n_samples=64,
+        four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1)), (np.pi, np.pi), np.float64(1e-4),
+        n_samples=np.int64(64),
     )
+    assert report.n_samples == 64
     assert report.singular_count == 0
     assert report.min_abs_det > 0
 

@@ -111,6 +111,28 @@ def test_tiny_negative_controls_reduce_to_zero():
                               interf.unitary([0.4, 1.1], psis=[0.0, 0.0]))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_fixed_controls_are_rejected(value):
+    # the reduction would map nan to 0: float(nan) % 2pi is nan, which is not < 2pi
+    with pytest.raises(ValueError, match="finite"):
+        four_mode_mzi(value)
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        Interferometer(u_in=eye, u_out=eye, unknown_modes=(0,), fixed_controls=((2, value),))
+
+
+@pytest.mark.parametrize("psis", [[float("nan"), 0.2], [0.1, float("inf")],
+                                  [-float("inf"), float("nan")]])
+def test_non_finite_control_phases_are_rejected(psis):
+    for interf in (three_mode_mzi(), four_mode_mzi(0.3)):
+        with pytest.raises(ValueError, match="finite"):
+            interf.control_phases(psis)
+        with pytest.raises(ValueError, match="finite"):
+            interf.unitary([0.3, 0.4], psis=psis)
+        with pytest.raises(ValueError, match="finite"):
+            build_model(interf, Probe.fock((1,) * interf.d), psis=psis)
+
+
 @pytest.mark.parametrize("psis", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
 def test_control_phases_of_the_wrong_length_are_rejected(psis):
     interf = three_mode_mzi()

@@ -45,11 +45,12 @@ gradients from the same precomputation.
 Fock models whose ``occ``, ``t_in`` and ``t_out`` are equal in value (one
 circuit and probe, each model with its own controls) can be evaluated as
 one stack: ``stacked_fock_probs`` compares them once and builds a function
-that evaluates the models at one phase point as a [K, n_states, 1] stack.
-The adaptive likelihood takes it for every one-point evaluation of a run's
-models.  The bits equal those of one ``prob_batch`` call per model,
-because numpy's stacked matmul runs each layer as the same matrix-vector
-product and every other step is element-wise.
+that evaluates the models, probabilities and gradients, at one phase point
+as a [K, n_states, 1] stack.  The adaptive likelihood polishes take it for
+every one-point evaluation of a run's models.  The bits equal those of one
+``prob_batch`` call per model, because numpy's stacked matmul runs each
+layer as the same matrix-vector product and every other step is
+element-wise.
 
 The distinguishable model convolves the photons' mode distributions one
 photon at a time.  Adding photon k maps each (source state, mode) to a
@@ -272,13 +273,14 @@ class FockProbeModel(_ProbeModel):
         v = np.multiply(np.exp(w, out=w), self._t_in_col, out=w)
         return v, self.t_out @ v
 
-    def _gradients(self, v, amps, out, scaled, damps):
-        """Write d probs / d phi_j into out[:, :, j].  The products of every
-        parameter go through the two scratch buffers ``scaled`` and
+    def _gradients(self, v, amps, out, scaled, damps, generators=None):
+        """Write d probs / d phi_j into out[:, :, j], the parameters' ``-i m_j``
+        columns being ``generators`` (this model's by default).  The products
+        of every parameter go through the two scratch buffers ``scaled`` and
         ``damps``, shaped like v, not into three fresh arrays: the same
         operations, and a four-mode scan chunk of 8192 points peaks 4.4 MiB
         lower."""
-        for j, generator in enumerate(self._generators):
+        for j, generator in enumerate(self._generators if generators is None else generators):
             np.multiply(v, generator, out=scaled)
             np.matmul(self.t_out, scaled, out=damps)
             np.multiply(np.conjugate(amps, out=scaled), damps, out=damps)
@@ -321,11 +323,11 @@ class FockProbeModel(_ProbeModel):
 
 
 def stacked_fock_probs(models):
-    """``probs_at(point)``: the outcome probabilities [K, n_out] of K models
-    at one point [n_params] of unknown phases, reduced modulo 2pi, as one
-    stacked computation.  Row k is bit for bit
-    ``models[k].prob_batch(point[None, :], grads=False)[0][0]``.  Raises
-    ``ValueError`` unless every model is a Fock model whose ``occ``,
+    """``probs_at(point)``: the outcome probabilities [K, n_out] and their
+    gradients [K, n_out, n_params] of K models at one point [n_params] of
+    unknown phases, reduced modulo 2pi, as one stacked computation.  Row k
+    of each is bit for bit that of ``models[k].prob_batch(point[None, :])``.
+    Raises ``ValueError`` unless every model is a Fock model whose ``occ``,
     ``t_in`` and ``t_out`` equal the first one's in value, compared here once."""
     first = models[0]
     for m in models:
@@ -338,13 +340,21 @@ def stacked_fock_probs(models):
     unknown = np.concatenate([k * theta.shape[1] + m.unknown_modes for k, m in enumerate(models)])
     offsets = np.array([m._unknown_offset for m in models])
     stack = theta[:, :, None]
+    # each model's -i m_j column per parameter j, stacked [K, n_states, 1]
+    generators = [np.stack(columns) for columns in zip(*(m._generators for m in models))]
+    scaled, damps = (np.empty((len(models), len(first.occ), 1), dtype=complex) for _ in range(2))
 
     def probs_at(point):
         theta.put(unknown, np.mod(point, TWO_PI) + offsets)
         # each layer of the [K, n_states, 1] stack is the one-point call's
         # matrix-vector product; a [n_states, K] matrix product would not be
-        amps = first._amplitudes(stack)[1][:, :, 0]
-        return amps.real**2 + amps.imag**2
+        v, amps = first._amplitudes(stack)
+        probs = amps.real[:, :, 0]**2 + amps.imag[:, :, 0]**2
+        # _gradients writes damps.real.T, here [1, n_out, K], into out[:, :, j]:
+        # the one-point layout [1, n_out, n_params] with the models as a last axis
+        grads = np.empty((1, len(first.basis), first.n_params, len(models)))
+        first._gradients(v, amps, grads, scaled, damps, generators)
+        return probs, grads[0].transpose(2, 0, 1)
 
     return probs_at
 

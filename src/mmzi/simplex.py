@@ -1,5 +1,7 @@
-"""Nelder-Mead simplex minimization: the polish of every likelihood refit
-and working point."""
+"""Nelder-Mead simplex minimization: the polish of every landscape working
+point (the gradient of Tr F^-1 needs second derivatives of p), and the fallback of the
+adaptive likelihood polish where its Fisher information is singular or the
+likelihood is -inf at the seed point."""
 
 from __future__ import annotations
 

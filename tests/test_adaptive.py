@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import inspect
 import multiprocessing
 import pickle
 
@@ -24,6 +25,7 @@ from mmzi.adaptive import (
     _polish,
     _width,
     _window_peaks,
+    _with_prior,
     derive_seeds,
     log_likelihood,
     monte_carlo,
@@ -36,6 +38,7 @@ from mmzi.adaptive import (
 )
 from mmzi.optics import TWO_PI, Interferometer, four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe, build_model, stacked_fock_probs
+from mmzi.simplex import nelder_mead
 
 THREE = three_mode_mzi()
 Q1 = np.array([0.8920298, 2.1908384])
@@ -181,12 +184,83 @@ def test_likelihood_peaks_keep_the_truth_for_exact_counts(q1_model):
 
 
 def test_refine_prior_pull(q1_model):
+    # a prior 1e-4 wide pulls the polish onto its mean against 50 counts
     dist = q1_model.distribution(Q1)
     counts = sample_outcomes(dist, 50, 11)
     tight = GaussianPrior(mean=Q1 + 0.05, sigma=[1e-4, 1e-4])
-    x, value = _polish(lambda x: -log_likelihood(counts, tight, x, q1_model), Q1)
+    x, value = _polish(_with_prior(_stacked_loglik([(counts, q1_model)]), tight), Q1)
     assert value == log_likelihood(counts, tight, x, q1_model)
     assert np.max(np.abs(x - (Q1 + 0.05))) < 5e-3
+    # the stationary point of log prior + log L: the prior's pull balances
+    # the data's gradient
+    _, score, _ = _stacked_loglik([(counts, q1_model)])(x)
+    np.testing.assert_allclose(score, (x - tight.mean) / tight.sigma**2, rtol=1e-6, atol=1e-3)
+
+
+def test_singular_information_takes_the_nelder_mead_fallback(q1_model, monkeypatch):
+    # the controls-at-zero model has an exactly singular information at the
+    # zero-phase point, so scoring cannot take its first step there
+    counts = sample_outcomes(q1_model.distribution([0.0, 0.0]), 500, 3)
+    loglik = _stacked_loglik([(counts, q1_model)])
+    assert _width(loglik(np.zeros(2))[2]) is None
+    calls = []
+
+    def recording(objective, x0, **options):
+        calls.append((np.array(x0), options))
+        return nelder_mead(objective, x0, **options)
+
+    monkeypatch.setattr(adaptive, "nelder_mead", recording)
+    x, value = _polish(loglik, np.zeros(2))
+    [(x0, options)] = calls
+    assert x0.tolist() == [0.0, 0.0]
+    assert options == {"xatol": adaptive.REFINE_TOL, "fatol": 1e-10, "maxiter": 400}
+    with np.errstate(divide="ignore"):
+        want_x, want_fun = nelder_mead(lambda y: -loglik(y)[0], np.zeros(2), **options)
+    assert x.tobytes() == want_x.tobytes() and value == -want_fun
+    # a regular point takes no fallback
+    calls.clear()
+    _polish(loglik, np.array([0.3, 0.2]))
+    assert calls == []
+
+
+def test_a_minus_inf_seed_takes_the_nelder_mead_fallback(monkeypatch):
+    eye = np.eye(3, dtype=complex)
+    model = build_model(Interferometer(u_in=eye, u_out=eye, unknown_modes=(0, 1)), Probe.fock((1, 1, 1)))
+    counts = np.zeros(len(model.outcomes), dtype=int)
+    counts[next(k for k, occ in enumerate(model.outcomes) if occ != (1, 1, 1))] = 2
+    calls = []
+    monkeypatch.setattr(adaptive, "nelder_mead",
+                        lambda objective, x0, **options: calls.append(x0) or (x0, np.inf))
+    x, value = _polish(_stacked_loglik([(CountRecord(counts=counts, total=2), model)]),
+                       np.array([0.3, 0.4]))
+    assert len(calls) == 1 and value == -np.inf and x.tolist() == [0.3, 0.4]
+
+
+def _central_difference(f, x, h=1e-6):
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(len(x))])
+
+
+@pytest.mark.parametrize("interf,probe", [
+    (THREE, Probe.fock((1, 1, 1))),
+    (four_mode_mzi(0.01), Probe.fock((1, 1, 1, 1))),
+])
+def test_likelihood_gradient_and_information_with_the_prior(interf, probe):
+    rng = np.random.default_rng(31)
+    model = build_model(interf, probe, psis=rng.uniform(-1.0, 1.0, 2))
+    counts = sample_outcomes(model.distribution([0.7, 1.3]), 3000, rng)
+    prior = GaussianPrior(mean=[0.6, 1.4], sigma=[0.7, 0.9])
+    posterior = _with_prior(_stacked_loglik([(counts, model)]), prior)
+    # offsets from the prior mean beyond +/- pi on either axis, where the
+    # wrapped offset has jumped by 2 pi, and inside
+    for delta in [[0.1, -0.2], [np.pi + 0.3, 0.2], [-np.pi - 0.4, 2.0], [3.0, -3.3],
+                  [2 * np.pi + 0.1, -2 * np.pi - 0.2], *rng.uniform(-7.0, 7.0, (4, 2))]:
+        x = prior.mean + np.array(delta)
+        value, score, info = posterior(x)
+        assert value == log_likelihood(counts, prior, x, model)
+        want = _central_difference(lambda y: log_likelihood(counts, prior, y, model), x)
+        np.testing.assert_allclose(score, want, rtol=1e-6, atol=1e-4 * np.max(np.abs(want)))
+        fim = counts.total * adaptive.fisher_matrix(model.distribution(x)).matrix
+        np.testing.assert_allclose(info, fim + np.diag(1.0 / prior.sigma**2), rtol=1e-12)
 
 
 def test_exhausted_rough_step_retries_raise(q1_model, monkeypatch):
@@ -246,6 +320,13 @@ def test_width_of_a_singular_matrix_is_none():
     assert _width(np.zeros((2, 2))) is None
     assert _width(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
     assert _width(np.diag([1.0, 1e-13])) is None  # condition number 1e13
+
+
+def test_width_of_an_inverse_with_a_diagonal_entry_not_above_zero_is_none():
+    # well conditioned, but no information matrix: a negative variance would
+    # otherwise read as a confident sigma
+    assert _width(np.diag([1.0, -1.0])) is None
+    assert _width(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
 @pytest.mark.parametrize(
@@ -618,10 +699,17 @@ def _assert_one_point_values_match_the_loop(batches, rng):
     points = [*rng.uniform(-7.0, 7.0, (60, 2)), [0.0, 0.0], [TWO_PI, -np.pi], [-1e-100, 0.5]]
     for case in (batches, batches[:-1] + [(batches[-1][0], moved)]):
         loglik = _stacked_loglik(case)
+        probs_at = stacked_fock_probs([model for _, model in case])
         for x in np.array(points):
-            with np.errstate(divide="ignore"):
-                got = np.array([loglik(x)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = np.array([loglik(x)[0]])
             assert got.tobytes() == _loop_loglik(case, x[None, :]).tobytes(), x
+            # the stacked gradients are each model's prob_batch gradients
+            probs, grads = probs_at(x)
+            for k, (_, model) in enumerate(case):
+                p, g = model.prob_batch(x[None, :])
+                assert probs[k].tobytes() == p[0].tobytes(), (x, k)
+                assert grads[k].shape == g[0].shape and grads[k].tobytes() == g[0].tobytes(), (x, k)
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
@@ -694,30 +782,61 @@ def test_stacked_one_point_likelihood_of_an_impossible_outcome_is_minus_inf():
     dead[next(k for k, occ in enumerate(models[0].outcomes) if occ != (1, 1, 1))] = 1
     dead = CountRecord(counts=dead, total=6)
     x = np.array([[0.3, 0.4]])
-    with np.errstate(divide="ignore"):
-        assert np.isfinite(_stacked_loglik([(alive, models[0]), (alive, models[1])])(x[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.isfinite(_stacked_loglik([(alive, models[0]), (alive, models[1])])(x[0])[0])
         for batches in ([(alive, models[0]), (dead, models[1])], [(dead, models[0]), (alive, models[1])]):
-            assert _stacked_loglik(batches)(x[0]) == -np.inf == _loop_loglik(batches, x)[0]
+            assert _stacked_loglik(batches)(x[0])[0] == -np.inf == _loop_loglik(batches, x)[0]
 
 
-@pytest.mark.parametrize("modes,true", PRESETS)
-def test_adaptive_runs_take_the_stacked_one_point_likelihood(modes, true, monkeypatch):
-    # every one-point likelihood of a run, the polishes' objectives, goes
-    # through the stack
-    results = []
+def _polish_evaluations(monkeypatch, config, seeds):
+    """(evaluations of each polish's objective, evaluations of the stack)
+    over runs of ``config`` at ``seeds``."""
+    polishes, stacked = [], []
+    real_polish = adaptive._polish
+
+    def counting_polish(objective, x0):
+        polishes.append(0)
+
+        def counted(x):
+            polishes[-1] += 1
+            return objective(x)
+
+        return real_polish(counted, x0)
 
     def spy(models):
         probs_at = stacked_fock_probs(models)
 
         def counted(point):
-            results.append(True)
+            stacked.append(point)
             return probs_at(point)
 
         return counted
 
+    monkeypatch.setattr(adaptive, "_polish", counting_polish)
     monkeypatch.setattr(adaptive, "stacked_fock_probs", spy)
-    run_protocol(ProtocolConfig(modes=modes, true_phases=true), 5)
-    assert len(results) > 100
+    for seed in seeds:
+        run_protocol(config, seed)
+    return polishes, stacked
+
+
+@pytest.mark.parametrize("modes,true", PRESETS)
+def test_adaptive_runs_take_the_stacked_one_point_likelihood(modes, true, monkeypatch):
+    # every evaluation of a polish's objective is one stacked evaluation,
+    # and the stack serves nothing else
+    polishes, stacked = _polish_evaluations(monkeypatch, ProtocolConfig(modes=modes, true_phases=true), [5])
+    assert len(polishes) >= 3 and sum(polishes) == len(stacked)
+
+
+def test_polishes_take_a_few_evaluations_each(monkeypatch):
+    # Fisher scoring needs a median of 4-5 evaluations per polish where the
+    # simplex took ~90; the counts are deterministic, so a return to
+    # simplex-sized polishes fails here
+    cap = inspect.signature(adaptive._polish).parameters["maxiter"].default
+    for modes, true in PRESETS:
+        polishes, _ = _polish_evaluations(monkeypatch, ProtocolConfig(modes=modes, true_phases=true), [5, 6])
+        assert np.median(polishes) <= 8, (modes, polishes)
+        # reaching the cap takes a seed evaluation and one per step at least
+        assert max(polishes) <= cap, (modes, polishes)
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
@@ -740,7 +859,7 @@ def test_a_run_after_the_sector_cache_was_emptied_is_a_cold_run(modes, true, mon
         assert rough.t_out is not model.t_out
         x = np.array([0.4, 5.0])
         rows = np.concatenate([m.prob_batch(x[None, :], grads=False)[0] for m in (rough, model)])
-        assert stacked_fock_probs([rough, model])(x).tobytes() == rows.tobytes()
+        assert stacked_fock_probs([rough, model])(x)[0].tobytes() == rows.tobytes()
     finally:
         adaptive._rough_model.cache_clear()  # its matrices are not the cache's
     assert _traces_equal(warm, cold)

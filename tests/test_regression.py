@@ -21,11 +21,11 @@ SEEDS = derive_seeds(1, 2)
     "modes,true_phases,seed,estimate,sigma",
     [
         (3, (2.2, 1.0), SEEDS[0],
-         (0.10899441373304378, 3.090219866812696),
-         (0.005383032093765395, 0.0055247380443231445)),
+         (2.2033894932675113, 0.9958247516222783),
+         (0.005383032131769866, 0.005524738014762778)),
         (4, (0.7, 1.3), SEEDS[1],
-         (3.842738516697798, 4.435513953645103),
-         (0.00440546201775976, 0.004391502510542657)),
+         (0.701145889426738, 1.2939213271832246),
+         (0.004405462018787241, 0.004391502510363321)),
     ],
 )
 def test_protocol_final_estimate_and_sigma(modes, true_phases, seed, estimate, sigma):
@@ -36,12 +36,14 @@ def test_protocol_final_estimate_and_sigma(modes, true_phases, seed, estimate, s
 
 # float.hex of (final_estimate, final_sigma) for master seed 1, two
 # repetitions per preset: a byte that moves on the likelihood path fails here
-# in the quick tier, not only in the acceptance Monte Carlo.
+# in the quick tier, not only in the acceptance Monte Carlo.  Which image of
+# the phase group a run reports is decided by rounding-level ties between
+# hypotheses, so a moved bit can move an estimate by a whole group shift.
 HEX_PINS = {
-    3: [(("0x1.be70ed26e1c1ap-4", "0x1.8b8c5318b47b1p+1"), ("0x1.60c84acbc9541p-8", "0x1.6a11b93826551p-8")),
-        (("0x1.aa5cf4bff57dep-4", "0x1.8ace0aaccd072p+1"), ("0x1.6031d0dcd546cp-8", "0x1.6b64705291139p-8"))],
-    4: [(("0x1.67983cea5b089p-1", "0x1.4d579ff416bd3p+0"), ("0x1.206f5045159f0p-8", "0x1.1fa5a9c2cc332p-8")),
-        (("0x1.ebdedb1025f6cp+1", "0x1.1bdf75eaf6df4p+2"), ("0x1.20b7634a409bbp-8", "0x1.1fcd2fa9bfc82p-8"))],
+    3: [(("0x1.1a08aabaf78c7p+1", "0x1.fddcbde987af3p-1"), ("0x1.60c84af592a2dp-8", "0x1.6a11b917a5d43p-8")),
+        (("0x1.aa5cf5f349f30p-4", "0x1.8ace0adf37813p+1"), ("0x1.6031d07332804p-8", "0x1.6b6470c3f707ap-8"))],
+    4: [(("0x1.ec05c4532e7acp+1", "0x1.1c65c2a752f1ep+2"), ("0x1.206f5032aed96p-8", "0x1.1fa5a9bc5b569p-8")),
+        (("0x1.66fc9811a0168p-1", "0x1.4b3e6d97d94f4p+0"), ("0x1.20b7634b61d17p-8", "0x1.1fcd2fa98d4dap-8"))],
 }
 
 

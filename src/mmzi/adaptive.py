@@ -13,7 +13,8 @@ carried over from the previous step.  A protocol run is:
   step 2+  controls shift the best candidate onto a working point; the
            measured counts re-score every candidate window and the winner's
            refined estimate becomes the new Gaussian prior.  Posterior
-           widths add information in precision: cov = (P_prior + nu F)^-1.
+           widths add information in precision: cov = (P_prior + nu F)^-1,
+           the inverse of the refit polish's information at its end point.
   finally  the estimate is refit against the joint likelihood of every
            step's counts, with its width read from the summed per-step
            information sum_s nu_s F_s -- the additivity of the per-step
@@ -24,9 +25,10 @@ is a Fisher-scoring ascent.  A step is x += (sum_b nu_b F_b + P)^-1 grad L,
 with P = diag(1 / sigma^2) of the Gaussian prior (zero in the joint refit),
 halved until L does not fall.  The gradient and the per-model information
 come from the stacked one-point evaluation of the run's models, which
-returns analytic gradients.  A polish takes ~5 evaluations where a
-simplex took ~90; ``nelder_mead`` remains the fallback where the
-information is singular or L is -inf at the seed point.
+returns analytic gradients; F_b is ``fim_batch``'s sum, with the bits of
+``fisher_matrix``.  A polish takes ~5 evaluations where a simplex took
+~90; ``nelder_mead`` remains the fallback where the information is
+singular or L is -inf at the seed point.
 
 Everything is deterministic given the seed; Monte Carlo repetitions use
 seeds derived from the master seed by numpy's SeedSequence.generate_state,
@@ -53,7 +55,8 @@ from .fisher import fisher_matrix, invert_fisher, SingularSupportError
 from .landscape import _local_maxima, _mesh
 from .optics import Interferometer, TWO_PI, four_mode_mzi, three_mode_mzi
 from .parallel import _usable_cpus, fork_map
-from .probes import OutcomeDistribution, Probe, _fisher_weights, build_model, stacked_fock_probs
+from .probes import (OutcomeDistribution, Probe, _fisher_weights, _weighted_gram, build_model,
+                     stacked_fock_probs)
 from .simplex import nelder_mead
 
 RUN_RECORD_SCHEMA_VERSION = 1
@@ -126,8 +129,8 @@ class GaussianPrior:
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if mean.shape != sigma.shape:
             raise ValueError("mean and sigma shapes differ")
-        if np.any(sigma <= 0):
-            raise ValueError("prior sigmas must be positive")
+        if not (np.all(np.isfinite(mean)) and np.all((sigma > 0) & np.isfinite(sigma))):
+            raise ValueError("prior means must be finite, and sigmas positive and finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "log_norm", np.log(np.sqrt(TWO_PI) * sigma))
@@ -187,7 +190,7 @@ def _stacked_loglik(batches):
     """``loglik(point)``: (value, gradient [n_params], information
     [n_params, n_params]) of the summed flat-prior data log-likelihood of
     (counts, model) batches at one point [n_params].  The information is
-    sum_b nu_b F_b, each model's Fisher matrix under the ``ZERO_PROB`` rule
+    sum_b nu_b F_b, each model's ``fim_batch`` sum (``fisher_matrix``'s bits)
     weighted by its batch's total count.  The value is -inf where an
     observed outcome has zero probability, and the gradient then is not
     finite.  The models, Fock models of one circuit and probe as every
@@ -197,7 +200,7 @@ def _stacked_loglik(batches):
     its [1, n_obs] one."""
     probs_at = stacked_fock_probs([m for _, m in batches])
     observed = [(counts.observed, counts.observed_counts) for counts, _ in batches]
-    totals = np.array([[counts.total] for counts, _ in batches], dtype=float)
+    totals = np.array([[[counts.total]] for counts, _ in batches], dtype=float)  # [K, 1, 1]
 
     def loglik(point):  # callers ignore the warnings of log(0) = -inf and n / 0
         probs, grads = probs_at(point)
@@ -206,8 +209,7 @@ def _stacked_loglik(batches):
             p = p.take(index)
             value += np.log(p) @ weights
             score = score + (weights / p) @ g.take(index, axis=0)
-        scaled = grads * (totals * _fisher_weights(probs))[:, :, None]
-        return value, score, np.tensordot(scaled, grads, axes=([0, 1], [0, 1]))
+        return value, score, (totals * _weighted_gram(_fisher_weights(probs), grads)).sum(axis=0)
 
     return loglik
 
@@ -238,10 +240,15 @@ def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
     return total
 
 
+def _invert_information(info):
+    """``invert_fisher`` at the estimator's thresholds."""
+    return invert_fisher(info, cond_threshold=1e12, det_threshold=1e-30)
+
+
 def _width(info):
     """sqrt(diag(info^-1)), or None when ``info`` is singular or a diagonal
     entry of its inverse is not positive."""
-    inv = invert_fisher(info, cond_threshold=1e12, det_threshold=1e-30)
+    inv = _invert_information(info)
     if inv.singular or not np.all(np.diag(inv.inverse) > 0):
         return None
     return np.sqrt(np.diag(inv.inverse))
@@ -260,33 +267,34 @@ def _joint_sigma(batches, estimate):
 
 
 def _polish(objective, x0, maxiter=50):
-    """Fisher-scoring maximum of a log-likelihood from ``x0``: (x, value).
-    ``objective(x)`` gives (value, gradient, information).  Each step is
-    information^-1 gradient, halved until the value does not fall; the
-    ascent stops once a step is below ``REFINE_TOL`` / 100 on every axis,
-    taken or not, or after ``maxiter`` steps.  Where the value at ``x0`` is
-    -inf or the information is singular, ``nelder_mead`` minimizes -value
-    from the point reached instead."""
+    """Fisher-scoring maximum of a log-likelihood from ``x0``: (x, value,
+    information) at the x reached, where ``objective(x)`` gives (value,
+    gradient, information).  Each step is information^-1 gradient, halved
+    until the value does not fall; the ascent stops once a step is below
+    ``REFINE_TOL`` / 100 on every axis, taken or not, or after ``maxiter``
+    steps.  Where the value at ``x0`` is -inf or the information is singular
+    or NaN, ``nelder_mead`` minimizes -value from the point reached instead,
+    and one more ``objective`` call gives the information at its result."""
     x = np.asarray(x0, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf and n / 0
         value, score, info = objective(x)
         for _ in range(maxiter):
-            inv = invert_fisher(info, cond_threshold=1e12, det_threshold=1e-30)
+            inv = _invert_information(info)
             if value == -np.inf or inv.singular:
                 x, fun = nelder_mead(lambda y: -objective(y)[0], x,
                                      xatol=REFINE_TOL, fatol=1e-10, maxiter=400)
-                return x, -fun
+                return x, -fun, objective(x)[2]
             step = inv.inverse @ score
             trial = objective(x + step)
             while not trial[0] >= value:  # a NaN value falls too
                 if np.all(np.abs(step) < REFINE_TOL / 100):
-                    return x, value
+                    return x, value, info
                 step = step / 2.0
                 trial = objective(x + step)
             x, (value, score, info) = x + step, trial
             if np.all(np.abs(step) < REFINE_TOL / 100):
                 break
-    return x, value
+    return x, value, info
 
 
 def _window_peaks(batches, mean, sigma, step, top=1):
@@ -588,8 +596,8 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
         counts = sample_outcomes(dist, nu_step, rng)
         collected.append((counts, model))
 
-        # one batched pass scores all hypothesis windows; only windows whose
-        # grid peak is competitive earn a likelihood polish and a FIM call
+        # one batched pass scores all hypothesis windows; only windows whose grid
+        # peak is competitive earn a likelihood polish, which also gives the width
         window_peaks = [
             _window_peaks([(counts, model)], hyp.mean, hyp.sigma,
                           min(GRID_STEP, float(np.min(hyp.sigma)) / 2.0))[0]
@@ -604,16 +612,11 @@ def run_protocol(config: ProtocolConfig, seed) -> ProtocolTrace:
                 hyp.mean = np.mod(x0, TWO_PI)
                 hyp.score += grid_value + prior.log_density(x0)
                 continue
-            x, value = _polish(_with_prior(loglik, prior), x0)
-            try:
-                fim = fisher_matrix(model.distribution(x)).matrix
-                sigma_post = _width(np.diag(1.0 / hyp.sigma**2) + nu_step * fim)
-            except SingularSupportError:
-                sigma_post = None
+            x, value, info = _polish(_with_prior(loglik, prior), x0)
+            sigma_post = _width(info)
             if sigma_post is None:
                 sigma_post = hyp.sigma / np.sqrt(1.0 + nu_step / counts.total)
-            hyp.mean = np.mod(x, TWO_PI)
-            hyp.sigma = sigma_post
+            hyp.mean, hyp.sigma = np.mod(x, TWO_PI), sigma_post
             hyp.score += value
         top = max(h.score for h in hypotheses)
         hypotheses = [h for h in hypotheses if h.score >= top - PRUNE_MARGIN]
@@ -683,7 +686,7 @@ def _joint_refit(collected, hypotheses, anchors, rough_centers, group):
     for x0, value in seeds[:8]:
         if value < seeds[0][1] - REFIT_MARGIN:
             break
-        x, value = _polish(loglik, x0)
+        x, value, _ = _polish(loglik, x0)
         if value > best_value:
             best_value, best_x = value, x
     estimate = np.mod(best_x, TWO_PI)
@@ -694,7 +697,7 @@ def _joint_refit(collected, hypotheses, anchors, rough_centers, group):
         [(x0, value)] = _window_peaks(collected, mean, width, np.maximum(width / 2.0, 1e-6))
         if value < best_value - REFIT_MARGIN or _near_images(x0, estimate, sigma, group):
             continue
-        x, value = _polish(loglik, x0)
+        x, value, _ = _polish(loglik, x0)
         if value > best_value and not _near_images(x, estimate, sigma, group):
             best_value, estimate = value, np.mod(x, TWO_PI)
             sigma = _joint_sigma(collected, estimate)

@@ -1,7 +1,8 @@
 """Classical and quantum Fisher information, bounds for separable probes,
 and the qudit-entanglement witness.
 
-The classical matrix is F_ij = sum_x (1/p) (dp/dphi_i)(dp/dphi_j).  For
+The classical matrix is F_ij = sum_x (1/p) (dp/dphi_i)(dp/dphi_j), which
+``probes`` sums (``fisher_matrix`` is ``fim_batch``'s sum at one point).  For
 pure states evolved by commuting number-operator generators the quantum
 matrix is four times the covariance matrix of the generating number
 operators.  Product probes have a closed form: one photon entering mode k
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import basis_index, enumerate_fock_basis, sector_unitary
-from .probes import ZERO_GRAD, ZERO_PROB, OutcomeDistribution, Probe
+from .probes import OutcomeDistribution, Probe, _fisher_weights, _support_bad, _weighted_gram
 from .optics import Interferometer
 
 # Shared singularity thresholds for inverting 2x2 and larger matrices.
@@ -42,8 +43,8 @@ class FisherMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Fisher matrix must be square")
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            raise ValueError("Fisher matrix must be symmetric")
+        if not np.all(np.isfinite(m)) or np.max(np.abs(m - m.T)) > 1e-10:
+            raise ValueError("Fisher matrix must be finite and symmetric")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
             raise ValueError("Fisher matrix must be positive semidefinite")
 
@@ -60,7 +61,7 @@ class FisherInverse:
     """Result of attempting to invert a Fisher matrix.
 
     Singularity is a value, not an error: ``inverse`` is None when the
-    condition number or determinant crosses the configured thresholds, and
+    condition number or determinant is NaN or crosses its threshold, and
     ``det``/``cond`` always report the diagnostics.
     """
 
@@ -76,20 +77,17 @@ class FisherInverse:
 
 
 def fisher_matrix(dist: OutcomeDistribution) -> FisherMatrix:
-    """Classical Fisher information matrix of a photon-counting distribution."""
-    p = np.asarray(dist.probs, dtype=float)
-    g = np.asarray(dist.grads, dtype=float)
-    grad_norm = np.max(np.abs(g), axis=1)
-    bad = (p < ZERO_PROB) & (grad_norm > ZERO_GRAD)
+    """Classical Fisher information matrix of a photon-counting distribution:
+    ``fim_batch``'s sum at its one point, bit for bit.  Raises
+    ``SingularSupportError`` on an outcome that ``_support_bad``, given each
+    outcome as a point of its own, finds to make the sum diverge."""
+    p, g = np.asarray(dist.probs, dtype=float), np.asarray(dist.grads, dtype=float)
+    bad = _support_bad(p[:, None], g[:, None])
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise SingularSupportError(
-            f"outcome {dist.outcomes[k]} has probability {p[k]:.3e} "
-            f"with gradient {grad_norm[k]:.3e}"
-        )
-    keep = p >= ZERO_PROB
-    w = g[keep] / p[keep, None]
-    return FisherMatrix(matrix=w.T @ g[keep], kind="classical")
+        raise SingularSupportError(f"outcome {dist.outcomes[k]} has probability {p[k]:.3e} "
+                                   f"with gradient {np.max(np.abs(g[k])):.3e}")
+    return FisherMatrix(_weighted_gram(_fisher_weights(p[None]), g[None])[0], kind="classical")
 
 
 def invert_fisher(f: FisherMatrix | np.ndarray,
@@ -100,7 +98,7 @@ def invert_fisher(f: FisherMatrix | np.ndarray,
     eigs = np.linalg.eigvalsh(m)
     lo, hi = float(np.min(np.abs(eigs))), float(np.max(np.abs(eigs)))
     cond = np.inf if lo == 0.0 else hi / lo
-    singular = (cond >= cond_threshold) or (abs(det) < det_threshold)
+    singular = not (cond < cond_threshold and abs(det) >= det_threshold)
     inverse = None if singular else np.linalg.inv(m)
     return FisherInverse(inverse=inverse, det=det, cond=cond, singular=singular)
 

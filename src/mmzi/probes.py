@@ -18,7 +18,9 @@ Each probe kind gets a model object bound to a fixed interferometer
   below ``ZERO_PROB`` and a gradient above ``ZERO_GRAD``, so the
   information diverges; outcomes below ``ZERO_PROB`` add nothing to F.
   The base method sums over the outcome list of ``prob_batch``; the
-  coherent model uses the Poisson closed form instead.
+  coherent model uses the Poisson closed form instead.  No other module
+  sums a classical Fisher matrix: ``fisher_matrix`` is this sum at one
+  point, and the adaptive polishes weight it by counts for their widths.
 
 Points may be any real phases: every evaluation path of a model reduces
 them with ``np.mod(points, 2pi)`` once, as ``Interferometer.unitary``
@@ -86,9 +88,9 @@ COHERENT_TAIL = 1e-8  # Poisson tail mass a coherent model's outcome list leaves
 # Zero-probability outcomes are dropped from the classical sum only when
 # their gradient also vanishes (removable limit); otherwise the matrix
 # diverges at that phase point.  A dropped outcome's information is lost:
-# at (pi, pi) on the four-mode preset (phi0 = 0.01) outcome 0 has
-# p = 5.86e-15, so Tr F^-1 reads 0.37507031959031, 1.2e-10 above the
-# exact 0.375070319473093.
+# at (pi, pi) on the four-mode preset (phi0 = 0.01) the four outcomes with
+# every photon in one mode have p = 5.86e-15 each, so Tr F^-1 reads
+# 0.37507031959031, 1.2e-10 above the exact 0.375070319473093.
 ZERO_PROB = 1e-14
 ZERO_GRAD = 1e-10
 
@@ -152,10 +154,6 @@ class OutcomeDistribution:
     outcomes: tuple[tuple[int, ...], ...]
     probs: np.ndarray
     grads: np.ndarray
-
-    @property
-    def n_params(self) -> int:
-        return self.grads.shape[1]
 
 
 def _support_bad(probs, grads):

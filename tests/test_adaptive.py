@@ -52,6 +52,29 @@ def q1_model():
 def test_gaussian_prior_validation():
     with pytest.raises(ValueError):
         GaussianPrior(mean=[0.0, 0.0], sigma=[0.1, -0.1])
+    # a non-finite mean or sigma would make the log density NaN or -inf everywhere
+    for mean, sigma in [([0.0, 0.0], [0.1, np.nan]), ([0.0, 0.0], [np.inf, 0.1]),
+                        ([np.nan, 0.0], [0.1, 0.1]), ([0.0, -np.inf], [0.1, 0.1])]:
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPrior(mean=mean, sigma=sigma)
+
+
+def test_a_nan_information_takes_the_nelder_mead_fallback(monkeypatch):
+    # a NaN information inverts to a NaN step, whose trial value is NaN, so
+    # step halving never ends; the singular verdict sends it to the simplex
+    def objective(x):
+        return -float(x @ x), -2.0 * x, np.full((2, 2), np.nan)
+
+    calls = []
+
+    def recording(f, x0, **options):
+        calls.append(np.array(x0))
+        return nelder_mead(f, x0, **options)
+
+    monkeypatch.setattr(adaptive, "nelder_mead", recording)
+    x, value, info = _polish(objective, np.array([0.3, 0.2]))
+    assert len(calls) == 1 and calls[0].tolist() == [0.3, 0.2]
+    assert np.max(np.abs(x)) < 1e-4 and value == -float(x @ x) and np.isnan(info).all()
 
 
 angle = st.floats(-10.0, 10.0)
@@ -188,8 +211,11 @@ def test_refine_prior_pull(q1_model):
     dist = q1_model.distribution(Q1)
     counts = sample_outcomes(dist, 50, 11)
     tight = GaussianPrior(mean=Q1 + 0.05, sigma=[1e-4, 1e-4])
-    x, value = _polish(_with_prior(_stacked_loglik([(counts, q1_model)]), tight), Q1)
+    posterior = _with_prior(_stacked_loglik([(counts, q1_model)]), tight)
+    x, value, info = _polish(posterior, Q1)
     assert value == log_likelihood(counts, tight, x, q1_model)
+    # the information returned is the posterior's at the point returned
+    assert info.tobytes() == posterior(x)[2].tobytes()
     assert np.max(np.abs(x - (Q1 + 0.05))) < 5e-3
     # the stationary point of log prior + log L: the prior's pull balances
     # the data's gradient
@@ -210,13 +236,15 @@ def test_singular_information_takes_the_nelder_mead_fallback(q1_model, monkeypat
         return nelder_mead(objective, x0, **options)
 
     monkeypatch.setattr(adaptive, "nelder_mead", recording)
-    x, value = _polish(loglik, np.zeros(2))
+    x, value, info = _polish(loglik, np.zeros(2))
     [(x0, options)] = calls
     assert x0.tolist() == [0.0, 0.0]
     assert options == {"xatol": adaptive.REFINE_TOL, "fatol": 1e-10, "maxiter": 400}
     with np.errstate(divide="ignore"):
         want_x, want_fun = nelder_mead(lambda y: -loglik(y)[0], np.zeros(2), **options)
     assert x.tobytes() == want_x.tobytes() and value == -want_fun
+    # one more evaluation gives the information at the simplex's result
+    assert info.tobytes() == loglik(want_x)[2].tobytes()
     # a regular point takes no fallback
     calls.clear()
     _polish(loglik, np.array([0.3, 0.2]))
@@ -231,8 +259,8 @@ def test_a_minus_inf_seed_takes_the_nelder_mead_fallback(monkeypatch):
     calls = []
     monkeypatch.setattr(adaptive, "nelder_mead",
                         lambda objective, x0, **options: calls.append(x0) or (x0, np.inf))
-    x, value = _polish(_stacked_loglik([(CountRecord(counts=counts, total=2), model)]),
-                       np.array([0.3, 0.4]))
+    x, value, _ = _polish(_stacked_loglik([(CountRecord(counts=counts, total=2), model)]),
+                          np.array([0.3, 0.4]))
     assert len(calls) == 1 and value == -np.inf and x.tolist() == [0.3, 0.4]
 
 

@@ -8,6 +8,8 @@ from scipy import stats as sps
 from scipy.special import gammaln
 
 from mmzi.fisher import (
+    COND_THRESHOLD,
+    DET_THRESHOLD,
     FisherMatrix,
     SingularSupportError,
     entanglement_witness,
@@ -61,6 +63,13 @@ def test_fim_singular_support_error():
     dist = synthetic_distribution([0.0, 1.0], [[0.5], [-0.5]])
     with pytest.raises(SingularSupportError):
         fisher_matrix(dist)
+    # outcome (1,) is below ZERO_PROB with a vanishing gradient and is
+    # dropped; the message names (2,), which makes the information diverge
+    dist = synthetic_distribution([0.6, 1e-15, 1e-15, 0.4],
+                                  [[0.1], [1e-12], [-0.3], [0.2]])
+    with pytest.raises(SingularSupportError, match=r"^outcome \(2,\) has probability 1\.000e-15 "
+                                                   r"with gradient 3\.000e-01$"):
+        fisher_matrix(dist)
 
 
 def test_fim_drops_removable_zero_outcomes():
@@ -94,6 +103,34 @@ def test_invert_singular_verdict():
     assert abs(inv.det) < 1e-12
     with pytest.raises(ValueError):
         inv.trace_inverse()
+
+
+@pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan), [[np.inf, 0.0], [0.0, 1.0]],
+                                    [[1.0, np.nan], [np.nan, 1.0]], [[-np.inf, 0.0], [0.0, -np.inf]]])
+def test_a_non_finite_matrix_inverts_as_singular_and_is_no_fisher_matrix(matrix):
+    # such a matrix has a NaN condition number; np.linalg.inv would give
+    # [[inf, 0], [0, 1]] the confident "inverse" [[0, 0], [0, 1]]
+    with np.errstate(invalid="ignore"):
+        inv = invert_fisher(np.array(matrix))
+    assert inv.singular and inv.inverse is None
+    with pytest.raises(ValueError, match="finite"):
+        FisherMatrix(np.array(matrix))
+
+
+def test_singular_verdict_of_finite_matrices_is_the_threshold_comparison():
+    # the NaN-safe verdict is (cond >= threshold) or (|det| < threshold) for
+    # every finite matrix, at and around both thresholds
+    eps = np.finfo(float).eps
+    matrices = [np.eye(2), np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, -1.0]),
+                np.diag([1.0, 1.0 / COND_THRESHOLD]), np.diag([1.0, (1 + 4 * eps) / COND_THRESHOLD]),
+                np.diag([1.0, DET_THRESHOLD]), np.diag([1.0, (1 - 4 * eps) * DET_THRESHOLD]),
+                np.diag([1e-7, 1e-5]), np.diag([1e-6, 1e-6])]
+    rng = np.random.default_rng(3)
+    matrices += [a @ a.T for a in rng.normal(size=(20, 2, 2))]
+    for m in matrices:
+        inv = invert_fisher(np.array(m))
+        assert inv.singular == ((inv.cond >= COND_THRESHOLD) or (abs(inv.det) < DET_THRESHOLD))
+        assert (inv.inverse is None) == inv.singular
 
 
 def test_invert_singular_at_white_region_point():

@@ -1,6 +1,7 @@
 """The package's public names: every export resolves, so that removing a
 function cannot leave a dangling name that breaks ``from mmzi import *``;
-and importing the package, or running any subcommand, loads no scipy."""
+and importing the package, or running any subcommand, loads no scipy or
+mpmath."""
 
 import os
 import subprocess
@@ -22,7 +23,8 @@ def test_every_exported_name_resolves():
 
 
 def test_import_and_every_subcommand_load_no_scipy_module(tmp_path):
-    # numpy is the package's only dependency: scipy serves the tests only
+    # numpy is the package's only dependency: scipy and mpmath (the oracle)
+    # serve the tests only
     script = f"""
 import sys
 import mmzi
@@ -33,7 +35,7 @@ for argv in (["adaptive", "--reps", "2", "--nu", "2000", "--seed", "3", "--out",
              ["workpoints", "--resolution", "64"],
              ["bounds"]):
     assert main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "mpmath")))
 """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,

@@ -1,8 +1,11 @@
 """Property tests of the probability models and the information widths:
-probability mass, gradients summing to zero, phase-group invariance and
-Fisher additivity, including phases near phi1 = phi2 and phi0 -> 0+."""
+probability mass, gradients summing to zero, phase-group invariance,
+Fisher additivity and the one classical Fisher sum that ``fisher_matrix``,
+``fim_batch``, ``_fim_at`` and the scoring information share, including
+phases near phi1 = phi2 and phi0 -> 0+."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +13,15 @@ from mmzi.adaptive import (
     FOUR_MODE_PHASE_GROUP,
     THREE_MODE_PHASE_GROUP,
     _joint_sigma,
+    _stacked_loglik,
     sample_outcomes,
 )
-from mmzi.fisher import fisher_matrix
+from mmzi.fisher import SingularSupportError, fisher_matrix
 from mmzi.optics import TWO_PI, four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe, build_model
 
 PROPERTY = settings(max_examples=15, deadline=None)
+ONE_SUM = settings(max_examples=60, deadline=None)  # cheap: many examples per bit-for-bit case
 phase = st.floats(-7.0, 7.0, allow_nan=False)
 # generic pairs and pairs within 1e-6 of the diagonal phi1 = phi2
 phases = st.one_of(
@@ -72,3 +77,47 @@ def test_fisher_information_adds_over_copies(interf, kind, psis, phis, nu, seed)
     for k in range(1, 11):
         assert np.allclose(_joint_sigma([(counts, model)] * k, phis), single / np.sqrt(k),
                            rtol=1e-12 + 1e-14 * cond, atol=0.0)
+
+
+def _preset(modes, phi0_value):
+    return three_mode_mzi() if modes == 3 else four_mode_mzi(phi0_value)
+
+
+@pytest.mark.parametrize("modes", (3, 4))
+@pytest.mark.parametrize("kind", ("fock", "distinguishable"))
+@ONE_SUM
+@given(phi0, phases, phases)
+def test_fisher_matrix_is_fim_batchs_sum_bit_for_bit(modes, kind, phi0_value, psis, phis):
+    model = _model(_preset(modes, phi0_value), kind, psis)
+    phis = np.array(phis)
+    batch, support_bad = model.fim_batch(phis[None])
+    try:
+        single = fisher_matrix(model.distribution(phis)).matrix
+    except SingularSupportError:
+        assert support_bad[0]
+        return
+    assert not support_bad[0] and single.tobytes() == batch[0].tobytes()
+    if kind == "fock":
+        f11, f22, f12, bad = model._fim_at()(phis)
+        assert not bad and np.array([f11, f12, f12, f22]).tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("modes", (3, 4))
+@ONE_SUM
+@given(phi0, st.lists(phases, min_size=1, max_size=4), phases, phases,
+       st.integers(1, 10_000), st.integers(0, 2**32 - 1))
+def test_scoring_information_is_the_count_weighted_fisher_sum_bit_for_bit(
+        modes, phi0_value, controls, truth, phis, nu, seed):
+    interf = _preset(modes, phi0_value)
+    models = [_model(interf, "fock", psis) for psis in controls]
+    rng = np.random.default_rng(seed)
+    batches = [(sample_outcomes(m.distribution(truth), nu + k, rng), m) for k, m in enumerate(models)]
+    want = np.zeros((2, 2))
+    try:
+        for counts, model in batches:
+            want += counts.total * fisher_matrix(model.distribution(phis)).matrix
+    except SingularSupportError:
+        assume(False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        info = _stacked_loglik(batches)(np.array(phis))[2]
+    assert info.tobytes() == want.tobytes()

@@ -95,9 +95,9 @@ def test_protocol_scoring_polishes_reach_nelder_meads_log_likelihood(modes, true
     real_polish = adaptive._polish
 
     def recording(objective, x0):
-        x, value = real_polish(objective, x0)
+        x, value, info = real_polish(objective, x0)
         captured.append((objective, np.array(x0, dtype=float), value))
-        return x, value
+        return x, value, info
 
     monkeypatch.setattr(adaptive, "_polish", recording)
     for seed in (5, 6):

@@ -227,17 +227,37 @@ def _with_prior(loglik, prior: GaussianPrior):
     return posterior
 
 
-def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
-    """Summed flat-prior data log-likelihood of (counts, model) batches
-    at points [n_pts, n_params]; -inf where an observed outcome has zero
-    probability."""
-    total = np.zeros(len(points))
+def _summed_loglik(batches, n_pts, probs_of):
+    """Summed flat-prior data log-likelihood [n_pts] of (counts, model)
+    batches, ``probs_of(model)`` giving each model's probabilities [n_pts,
+    n_out]; -inf where an observed outcome has zero probability."""
+    total = np.zeros(n_pts)
     with np.errstate(divide="ignore"):
         for counts, model in batches:
-            p = model.prob_batch(points, grads=False)[0][:, counts.observed]
+            p = probs_of(model)[:, counts.observed]
             total += np.log(p, out=p) @ counts.observed_counts
             del p  # not held while the next model evaluates: that would lift the peak memory
     return total
+
+
+def _joint_loglik_batch(batches, points: np.ndarray) -> np.ndarray:
+    """``_summed_loglik`` at points [n_pts, n_params], from ``prob_batch``."""
+    return _summed_loglik(batches, len(points),
+                          lambda model: model.prob_batch(points, grads=False)[0])
+
+
+def _grid_loglik(batches, axes) -> np.ndarray:
+    """``_summed_loglik`` on the product grid of ``axes`` in ``_mesh``
+    order, from each model's ``grid_probs``: the points are never built."""
+    return _summed_loglik(batches, int(np.prod([len(a) for a in axes])),
+                          lambda model: model.grid_probs(axes))
+
+
+def _grid_points(axes, flat):
+    """Points [len(flat), len(axes)] of the product grid of ``axes`` at flat
+    indices ``flat`` in ``_mesh`` order: the rows ``_mesh(axes)[flat]``."""
+    index = np.unravel_index(flat, [len(a) for a in axes])
+    return np.column_stack([a[i] for a, i in zip(axes, index)])
 
 
 def _invert_information(info):
@@ -305,23 +325,22 @@ def _window_peaks(batches, mean, sigma, step, top=1):
     torus."""
     steps = np.broadcast_to(step, np.shape(sigma))
     halves = [min(5.0 * s, np.pi) for s in sigma]
-    axes = [np.arange(-h, h + d / 2, d) for h, d in zip(halves, steps)]
-    points = _mesh(axes) + mean
-    values = _joint_loglik_batch(batches, points)
+    # each axis shifted by its mean: the floats of the rows of _mesh(axes) + mean
+    axes = [np.arange(-h, h + d / 2, d) + m for h, d, m in zip(halves, steps, mean)]
+    values = _grid_loglik(batches, axes)
     if top == 1:
         best = [int(np.argmax(values))]
     else:
         flat = np.flatnonzero(_local_maxima(values.reshape([len(a) for a in axes])))
         best = flat[np.argsort(values[flat])[::-1][:top]]
-    return [(points[j], float(values[j])) for j in best]
+    return [(x, float(values[j])) for x, j in zip(_grid_points(axes, best), best)]
 
 
 def _torus(n_params: int):
-    """(points per axis, points [steps^n_params, n_params]) of the
-    rough-step grid over the torus at spacing ``ROUGH_GRID_STEP``."""
+    """The axes, one per parameter, of the rough-step grid over the torus
+    at spacing ``ROUGH_GRID_STEP``."""
     steps = max(int(np.ceil(TWO_PI / ROUGH_GRID_STEP)), 16)
-    axis = np.arange(steps) * TWO_PI / steps
-    return steps, _mesh([axis] * n_params)
+    return [np.arange(steps) * TWO_PI / steps] * n_params
 
 
 @lru_cache(maxsize=ROUGH_CACHE_SIZE)
@@ -329,11 +348,13 @@ def _rough_model(modes: int, phi0: float):
     """The controls-at-zero model of a preset, carrying ``torus_log_p``:
     log p [n_points, n_outcomes] on the ``_torus`` grid, the same array
     ``_joint_loglik_batch`` computes there before it picks the observed
-    outcomes."""
+    outcomes.  It keeps ``prob_batch``'s bits, not ``grid_probs``': at
+    zero controls the likelihood has exactly tied reflection images, and
+    these bits choose the rough step's crude estimate among them."""
     config = ProtocolConfig(modes=modes, true_phases=(0.0, 0.0), phi0=phi0)
     interf = config.interferometer()
     model = build_model(interf, config.probe(), psis=np.zeros(interf.n_params))
-    probs = model.prob_batch(_torus(model.n_params)[1], grads=False)[0]
+    probs = model.prob_batch(_mesh(_torus(model.n_params)), grads=False)[0]
     with np.errstate(divide="ignore"):
         model.torus_log_p = np.log(probs, out=probs)
     model.torus_log_p.flags.writeable = False
@@ -363,7 +384,7 @@ def _likelihood_peaks(batches):
     batched sub-grid, sorted by likelihood; peaks more than
     ``PEAK_MARGIN`` nats below the best are dropped.  The grid values are
     summed batch by batch, from the model's ``torus_log_p`` where it has
-    one.
+    one, else from ``_grid_loglik``.
 
     At a single control setting the likelihood carries many near-tied
     peaks (the exact shift group of the splitters plus reflection-type
@@ -373,17 +394,18 @@ def _likelihood_peaks(batches):
     refits supply the precision.
     """
     n_params = batches[0][1].n_params
-    steps, points = _torus(n_params)
-    data = np.zeros(len(points))
+    axes = _torus(n_params)
+    shape = [len(a) for a in axes]
+    data = np.zeros(np.prod(shape))
     for counts, model in batches:
         log_p = getattr(model, "torus_log_p", None)
         if log_p is None:
-            data += _joint_loglik_batch([(counts, model)], points)
+            data += _grid_loglik([(counts, model)], axes)
         else:
             data += log_p[:, counts.observed] @ counts.observed_counts
-    data = data.reshape([steps] * n_params)
+    data = data.reshape(shape)
     flat_idx = np.flatnonzero(_local_maxima(data))
-    coarse = _distinct_peaks(points[flat_idx[np.argsort(data.ravel()[flat_idx])[::-1]]])
+    coarse = _distinct_peaks(_grid_points(axes, flat_idx[np.argsort(data.ravel()[flat_idx])[::-1]]))
     # one batched sub-grid pass sharpens every peak position
     local = _mesh([np.arange(-2, 3) * (ROUGH_GRID_STEP / 5.0)] * n_params)
     sub_points = (coarse[:, None, :] + local[None, :, :]).reshape(-1, n_params)

@@ -78,15 +78,14 @@ def _mesh(axes) -> np.ndarray:
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Mask of the cells not below any of their 3^ndim - 1 neighbours, with
-    every axis periodic."""
+    every axis periodic: each neighbour is a slice of ``values`` padded
+    once by one wrapped cell per side."""
+    padded = np.pad(values, 1, mode="wrap")
     is_max = np.ones(values.shape, dtype=bool)
     for shifts in np.ndindex(*([3] * values.ndim)):
         if all(s == 1 for s in shifts):
             continue
-        rolled = values
-        for ax, s in enumerate(shifts):
-            rolled = np.roll(rolled, s - 1, axis=ax)
-        is_max &= values >= rolled
+        is_max &= values >= padded[tuple(slice(s, s + n) for s, n in zip(shifts, values.shape))]
     return is_max
 
 

@@ -36,6 +36,7 @@ from mmzi.adaptive import (
     wrap_angle,
     write_run_record,
 )
+from mmzi.landscape import _mesh
 from mmzi.optics import TWO_PI, Interferometer, four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe, build_model, stacked_fock_probs
 from mmzi.simplex import nelder_mead
@@ -310,32 +311,36 @@ def test_exhausted_rough_step_retries_raise(q1_model, monkeypatch):
         run_protocol(tight, 77)
 
 
-class _PointCounter:
-    """Stands in for a model: keeps every batch of points it is asked for
-    and gives two equally likely outcomes."""
+class _AxisCounter:
+    """Stands in for a model: keeps the grid axes of every call, and the
+    number of probability rows it returns, with two equally likely outcomes."""
 
     n_params = 2
 
     def __init__(self):
-        self.batches = []
+        self.calls = []
 
-    def prob_batch(self, points, grads=True):
-        self.batches.append(points)
-        return np.full((len(points), 2), 0.5), None
+    def grid_probs(self, axes):
+        probs = np.full((len(axes[0]) * len(axes[1]), 2), 0.5)
+        self.calls.append((axes, len(probs)))
+        return probs
 
 
 def test_likelihood_window_is_capped_at_the_torus():
     # a four-mode rough step at nu = 20 (derive_seeds(7, 24)[9], true phases
     # (0.7, 1.3), phi0 = 0.01) has widths (3.95, 3.50): uncapped, mean +/- 5
     # sigma at step 0.02 is a 1,973 x 1,753 window per model
-    counter = _PointCounter()
+    counter = _AxisCounter()
     counts = CountRecord(counts=np.array([3, 1]), total=4)
-    _window_peaks([(counts, counter)], np.array([0.7, 1.3]), np.array([3.95, 3.50]), 0.02)
-    [points] = counter.batches
+    [(x, _)] = _window_peaks([(counts, counter)], np.array([0.7, 1.3]), np.array([3.95, 3.50]),
+                             0.02)
+    [(axes, rows)] = counter.calls
     limit = int(np.ceil(2 * np.pi / 0.02)) + 1
-    axis_sizes = [len(np.unique(points[:, j])) for j in range(2)]
+    axis_sizes = [len(np.unique(axis)) for axis in axes]
     assert max(axis_sizes) <= limit
-    assert len(points) == axis_sizes[0] * axis_sizes[1]
+    assert rows == axis_sizes[0] * axis_sizes[1]
+    # the peak is a point of the grid: the first, every value being tied
+    assert x.tolist() == [axes[0][0], axes[1][0]]
 
 
 def test_width_of_a_diagonal_matrix():
@@ -526,18 +531,25 @@ def _plain_rough_model(modes, phi0):
 
 
 def _same_peaks(got, want):
-    return len(got) == len(want) and all(
-        x.tobytes() == y.tobytes() and v == w for (x, v), (y, w) in zip(got, want)
-    )
+    """The same (position, value) bits, in an order that differs only among
+    equal values."""
+    return ([v for _, v in got] == [w for _, w in want]
+            and sorted((v, x.tobytes()) for x, v in got) == sorted((w, y.tobytes()) for y, w in want))
 
 
 @pytest.mark.parametrize("modes,true", PRESETS)
 def test_torus_table_gives_the_uncached_peaks_bit_for_bit(modes, true):
+    # the table is prob_batch's log p on the torus mesh; without it the
+    # torus pass takes grid_probs, whose values differ in the last bits,
+    # and must still find the same peaks
     config = ProtocolConfig(modes=modes, true_phases=true)
     cached = adaptive._rough_model(modes, config.phi0)
     plain = _plain_rough_model(modes, config.phi0)
     assert cached.torus_log_p.shape == (126**2, len(cached.outcomes))
     assert not cached.torus_log_p.flags.writeable and not hasattr(plain, "torus_log_p")
+    with np.errstate(divide="ignore"):
+        direct = np.log(plain.prob_batch(_mesh(adaptive._torus(2)), grads=False)[0])
+    assert cached.torus_log_p.tobytes() == direct.tobytes()
     rng = np.random.default_rng(17)
     model_b = build_model(config.interferometer(), config.probe(), psis=[0.4, -1.2])
     counts_b = sample_outcomes(model_b.distribution(true), 500, rng)
@@ -571,7 +583,8 @@ def test_run_protocol_with_a_retry_is_the_same_with_and_without_the_table(modes,
     cached = run_protocol(config, 21)
     assert cached.steps[0].retries == 1
     calls.clear()
-    monkeypatch.setattr(adaptive, "_rough_model", _plain_rough_model)
+    # a freshly built table, not the cached one the retry re-read
+    monkeypatch.setattr(adaptive, "_rough_model", adaptive._rough_model.__wrapped__)
     assert _traces_equal(cached, run_protocol(config, 21))
 
 

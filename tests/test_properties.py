@@ -2,7 +2,8 @@
 probability mass, gradients summing to zero, phase-group invariance,
 Fisher additivity and the one classical Fisher sum that ``fisher_matrix``,
 ``fim_batch``, ``_fim_at`` and the scoring information share, including
-phases near phi1 = phi2 and phi0 -> 0+."""
+phases near phi1 = phi2 and phi0 -> 0+, and the product-grid evaluator
+``grid_probs`` against ``prob_batch``."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mmzi.adaptive import (
     sample_outcomes,
 )
 from mmzi.fisher import SingularSupportError, fisher_matrix
+from mmzi.landscape import _mesh
 from mmzi.optics import TWO_PI, four_mode_mzi, three_mode_mzi
 from mmzi.probes import Probe, build_model
 
@@ -121,3 +123,21 @@ def test_scoring_information_is_the_count_weighted_fisher_sum_bit_for_bit(
     with np.errstate(divide="ignore", invalid="ignore"):
         info = _stacked_loglik(batches)(np.array(phis))[2]
     assert info.tobytes() == want.tobytes()
+
+
+# an unreduced axis of 1 to 12 phases, plus -1e-300, where np.mod gives
+# exactly 2pi, and 1e6, whose phase factors differ by ~1e-10 unless reduced
+grid_axis = st.lists(phase, min_size=1, max_size=12).map(lambda a: np.array(a + [-1e-300, 1e6]))
+
+
+@ONE_SUM
+@given(presets, phases, grid_axis, grid_axis)
+def test_grid_probs_match_prob_batch_on_the_mesh(interf, psis, axis1, axis2):
+    # the per-axis phase factors round differently from one exp per state;
+    # the largest difference measured is 8.9e-16
+    model = _model(interf, "fock", psis)
+    axes = [axis1, axis2[::-1]]
+    grid = model.grid_probs(axes)
+    direct = model.prob_batch(_mesh(axes), grads=False)[0]
+    assert grid.shape == direct.shape == (len(axis1) * len(axis2), len(model.outcomes))
+    assert np.max(np.abs(grid - direct)) <= 1e-14
